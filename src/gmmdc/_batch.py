@@ -20,7 +20,7 @@ import numpy as np
 
 from ._linalg import COND_LIMIT
 from .estimate import FitPlan
-from .linmoment import LinearMomentSystem, WeightKind
+from .linmoment import LinearMomentSystem, WeightFactors, WeightKind, contribution_times
 
 
 @dataclass
@@ -72,12 +72,20 @@ def _omega(g: np.ndarray, centered: bool) -> np.ndarray:
 
 
 class BatchGmm:
-    """A stack of R linear moment systems sharing shapes (n, q, k)."""
+    """A stack of R linear moment systems sharing shapes (n, q, k).
 
-    def __init__(self, h: np.ndarray, G: np.ndarray, W_obs: Optional[np.ndarray]):
+    Data-average weight contributions are held as factors ``Z_obs``
+    (R, n, e, q) with a shared core ``H``, as the builders make them, or in
+    full as ``W_obs`` (R, n, q, q) for systems supplied that way.
+    """
+
+    def __init__(self, h: np.ndarray, G: np.ndarray, W_obs: Optional[np.ndarray] = None,
+                 Z_obs: Optional[np.ndarray] = None, H: Optional[np.ndarray] = None):
         self.h = h
         self.G = G
         self.W_obs = W_obs
+        self.Z_obs = Z_obs
+        self.H = H
         self.R, self.n, self.q = h.shape
         self.k = G.shape[-1]
         self.h_n = h.mean(axis=1)
@@ -86,17 +94,29 @@ class BatchGmm:
     @classmethod
     def from_system(cls, sys: LinearMomentSystem, idx: np.ndarray) -> "BatchGmm":
         """Resampled copies of one system; ``idx`` is (R, n) row indices."""
-        W = sys.W_obs[idx] if sys.W_obs is not None else None
-        return cls(sys.h[idx], sys.G_obs[idx], W)
+        if sys.Z_obs is not None:
+            return cls(sys.h[idx], sys.G_obs[idx], Z_obs=sys.Z_obs[idx], H=sys.H)
+        W = sys.W_obs
+        return cls(sys.h[idx], sys.G_obs[idx], W_obs=None if W is None else W[idx])
 
     @classmethod
     def from_stack(cls, systems) -> "BatchGmm":
         h = np.stack([s.h for s in systems])
         G = np.stack([s.G_obs for s in systems])
-        W = None
-        if systems[0].W_obs is not None:
-            W = np.stack([s.W_obs for s in systems])
-        return cls(h, G, W)
+        first = systems[0]
+        if all(s.Z_obs is not None and np.array_equal(s.H, first.H) for s in systems):
+            return cls(h, G, Z_obs=np.stack([s.Z_obs for s in systems]), H=first.H)
+        if first.W_obs is not None:
+            return cls(h, G, W_obs=np.stack([s.W_obs for s in systems]))
+        return cls(h, G)
+
+    def _data_average_obs(self):
+        """Data-average contributions: factors, or the full (R, n, q, q) stack."""
+        if self.Z_obs is not None:
+            return WeightFactors(self.Z_obs, self.H)
+        if self.W_obs is None:
+            raise ValueError("systems have no per-observation weight contributions")
+        return self.W_obs
 
     def g_obs(self, theta: np.ndarray) -> np.ndarray:
         """Per-observation moments for per-replication parameters (R, k)."""
@@ -108,9 +128,8 @@ class BatchGmm:
         if kind is WeightKind.IDENTITY:
             return None
         if kind is WeightKind.DATA_AVERAGE:
-            if self.W_obs is None:
-                raise ValueError("systems have no per-observation weight contributions")
-            return _sym(self.W_obs.mean(axis=1))
+            w = self._data_average_obs()
+            return w.mean() if isinstance(w, WeightFactors) else _sym(w.mean(axis=1))
         theta = np.broadcast_to(plan.w0.theta, (self.R, self.k))
         g = self.g_obs(theta)
         return _omega(g, kind is WeightKind.EFFICIENT_CENTERED)
@@ -121,7 +140,7 @@ class BatchGmm:
         if kind is WeightKind.IDENTITY:
             return None
         if kind is WeightKind.DATA_AVERAGE:
-            return self.W_obs
+            return self._data_average_obs()
         theta = np.broadcast_to(plan.w0.theta, (self.R, self.k))
         g = self.g_obs(theta)
         if kind is WeightKind.EFFICIENT_CENTERED:
@@ -153,11 +172,7 @@ class BatchGmm:
         m = np.einsum("rnq,rqk->rnk", g, aG)
         m = m + np.einsum("rnqk,rq->rnk", self.G, b)
         if w_obs is not None:
-            if w_obs.ndim == 3:     # rank-one factors (R, n, q)
-                t = w_obs * np.einsum("rnq,rq->rn", w_obs, b)[:, :, None]
-            else:                   # full contributions (R, n, q, q)
-                t = np.einsum("rnqp,rp->rnq", w_obs, b)
-            m = m - np.einsum("rnq,rqk->rnk", t, aG)
+            m = m - np.einsum("rnq,rqk->rnk", contribution_times(w_obs, b), aG)
         return m
 
     def _d_hat(self, g_weight, G_demeaned, aG, u, M_inv, centered):

@@ -408,6 +408,7 @@ def cmd_simulate(args) -> dict:
             "failures": s.failures,
             "bootstrap_failures": s.bootstrap_failures,
             "sd_degenerate": s.sd_degenerate,
+            "nonconverged": s.nonconverged,
         }
     return {
         "schema": SCHEMA,
@@ -451,6 +452,9 @@ def _print_simulate_table(result: dict) -> None:
     failures = {e: result["estimators"][e]["failures"] for e in ests}
     if any(failures.values()):
         print(f"failures: {failures}")
+    nonconverged = {e: result["estimators"][e]["nonconverged"] for e in ests}
+    if any(nonconverged.values()):
+        print(f"not converged (kept in the aggregates): {nonconverged}")
     if result["failure_warning"]:
         print("warning: replication failure rate above 0.1%")
 

@@ -174,11 +174,7 @@ def mr_bootstrap(sys: LinearMomentSystem, plan: FitPlan, coef: int, B: int,
         failures = 0
         for b in range(B):
             rows = np.concatenate([units[u] for u in draws[b]])
-            resys = LinearMomentSystem(
-                h=sys.h[rows],
-                G_obs=sys.G_obs[rows],
-                W_obs=sys.W_obs[rows] if sys.W_obs is not None else None,
-            )
+            resys = sys.take(rows)
             try:
                 refit = fit(resys, plan)
                 rereport = variance_report(resys, refit)

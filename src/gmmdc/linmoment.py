@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -37,8 +37,8 @@ class WeightSpec:
     """A weight matrix specification.
 
     ``IDENTITY`` is the q x q identity; ``DATA_AVERAGE`` is the mean of the
-    per-observation contributions ``W(X_i)`` stored on the system (e.g.
-    Z_i Z_i' for IV, Z_i' H Z_i for difference GMM); the efficient kinds are
+    per-observation contributions ``W(X_i)`` stored on the system (Z_i Z_i'
+    for IV, Z_i' H Z_i for difference GMM); the efficient kinds are
     the (un)centered second-moment matrix of g_i evaluated at ``theta``.
     """
 
@@ -73,9 +73,54 @@ class WeightSpec:
         return WeightSpec(WeightKind.EFFICIENT_CENTERED, np.asarray(theta, dtype=float))
 
 
-@dataclass(frozen=True)
+class WeightFactors(NamedTuple):
+    """Per-observation weight contributions W(X_i) = Z_i' H Z_i in factored form.
+
+    ``Z`` has shape (..., n, e, q), with any leading replication axes, and
+    ``H`` is the symmetric (e, e) core shared by every observation.
+    """
+
+    Z: np.ndarray
+    H: np.ndarray
+
+    def mean(self) -> np.ndarray:
+        """The mean of W(X_i) over observations, shape (..., q, q), as one GEMM."""
+        *lead, n, e, q = self.Z.shape
+        Zf = self.Z.reshape(*lead, n * e, q)
+        HZf = (self.H @ self.Z).reshape(*lead, n * e, q)
+        W = np.swapaxes(Zf, -1, -2) @ HZf / n
+        return 0.5 * (W + np.swapaxes(W, -1, -2))
+
+    def times(self, b: np.ndarray) -> np.ndarray:
+        """W(X_i) b = Z_i' H (Z_i b) for every observation, shape (..., n, q)."""
+        *lead, n, e, q = self.Z.shape
+        Zb = (self.Z.reshape(*lead, n * e, q) @ b[..., None]).reshape(*lead, n, e)
+        return np.einsum("...neq,...ne->...nq", self.Z, Zb @ self.H.T)
+
+
+def contribution_times(weight_obs, b: np.ndarray) -> np.ndarray:
+    """Xi_i b for every observation i, shape (..., n, q).
+
+    ``weight_obs`` holds the per-observation contributions Xi_i of a weight in
+    one of three forms: :class:`WeightFactors`; rank-one factors f_i with
+    Xi_i = f_i f_i', shape (..., n, q); or full matrices, shape (..., n, q, q).
+    ``b`` has shape (..., q) with the same leading axes.
+    """
+    if isinstance(weight_obs, WeightFactors):
+        return weight_obs.times(b)
+    w = np.asarray(weight_obs, dtype=float)
+    lead = b.ndim - 1
+    if w.ndim == lead + 2:              # f_i (f_i' b)
+        return w * (w @ b[..., None])
+    if w.ndim == lead + 3:
+        return (w @ b[..., None, :, None])[..., 0]
+    raise ValueError("weight_obs must be (n, q) factors or (n, q, q) matrices")
+
+
 class LinearMomentSystem:
     """Per-observation moment constants and Jacobians of a linear GMM model.
+
+    Systems are immutable once built.
 
     Attributes
     ----------
@@ -83,46 +128,71 @@ class LinearMomentSystem:
         Moment function at theta = 0, one row per observation unit.
     G_obs : ndarray, shape (n, q, k)
         Per-observation Jacobians (constant in theta by linearity).
+    Z_obs : ndarray, shape (n, e, q), optional
+    H : ndarray, shape (e, e), optional
+        Factors of the per-observation weight contributions
+        W(X_i) = Z_i' H Z_i, whose mean is the ``DATA_AVERAGE`` weight. The
+        builders store these: for IV, Z_i is the instrument row (e = 1,
+        H = [[1]]); for difference GMM it is the (T-1) x q instrument block
+        and H the 2/-1 band. Given together; ``H`` must be exactly symmetric.
     W_obs : ndarray, shape (n, q, q), optional
-        Per-observation weight contributions; their mean is the
-        ``DATA_AVERAGE`` weight. Each slice must be symmetric.
+        The contributions in full, as an alternative to ``Z_obs`` and ``H``.
+        A supplied tensor must have symmetric slices. On a factored system,
+        reading ``W_obs`` builds Z_i' H Z_i on demand on every access;
+        :meth:`weight_matrix` and :meth:`weight_obs` never materialize it.
     cluster_id : ndarray, shape (n,), optional
         Resampling-unit labels for the bootstrap. Panel builders label each
         moment block with its individual index.
     """
 
-    h: np.ndarray
-    G_obs: np.ndarray
-    W_obs: Optional[np.ndarray] = None
-    cluster_id: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        h = np.asarray(self.h, dtype=float)
-        G = np.asarray(self.G_obs, dtype=float)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "G_obs", G)
+    def __init__(self, h, G_obs, W_obs=None, cluster_id=None, Z_obs=None, H=None):
+        h = np.asarray(h, dtype=float)
+        G = np.asarray(G_obs, dtype=float)
         if h.ndim != 2:
             raise ValueError("h must be an (n, q) array")
         n, q = h.shape
-        if G.shape != (n, q, G.shape[2] if G.ndim == 3 else -1) or G.ndim != 3:
+        if G.ndim != 3 or G.shape[:2] != (n, q):
             raise ValueError("G_obs must be an (n, q, k) array matching h")
         k = G.shape[2]
         if not (q >= k >= 1):
             raise ValueError(f"need q >= k >= 1, got q={q}, k={k}")
         if n <= q:
             raise ValueError(f"need n > q for nonsingular sample moments, got n={n}, q={q}")
-        if self.W_obs is not None:
-            W = np.asarray(self.W_obs, dtype=float)
-            object.__setattr__(self, "W_obs", W)
-            if W.shape != (n, q, q):
+        if (Z_obs is None) != (H is None):
+            raise ValueError("Z_obs and H must be given together")
+        if Z_obs is not None:
+            if W_obs is not None:
+                raise ValueError("give W_obs or its factors Z_obs and H, not both")
+            Z_obs = np.asarray(Z_obs, dtype=float)
+            H = np.asarray(H, dtype=float)
+            if Z_obs.ndim != 3 or Z_obs.shape[0] != n or Z_obs.shape[2] != q:
+                raise ValueError("Z_obs must be an (n, e, q) array")
+            if H.shape != (Z_obs.shape[1],) * 2:
+                raise ValueError("H must be an (e, e) array matching Z_obs")
+            if not np.array_equal(H, H.T):
+                raise ValueError("H must be symmetric")
+        if W_obs is not None:
+            W_obs = np.asarray(W_obs, dtype=float)
+            if W_obs.shape != (n, q, q):
                 raise ValueError("W_obs must be an (n, q, q) array")
-            if not np.allclose(W, np.swapaxes(W, 1, 2), rtol=1e-10, atol=1e-12):
+            if not np.allclose(W_obs, np.swapaxes(W_obs, 1, 2), rtol=1e-10, atol=1e-12):
                 raise ValueError("every W(X_i) must be symmetric")
-        if self.cluster_id is not None:
-            cid = np.asarray(self.cluster_id)
-            object.__setattr__(self, "cluster_id", cid)
-            if cid.shape != (n,):
+        if cluster_id is not None:
+            cluster_id = np.asarray(cluster_id)
+            if cluster_id.shape != (n,):
                 raise ValueError("cluster_id must have one label per observation")
+        vars(self).update(h=h, G_obs=G, Z_obs=Z_obs, H=H, cluster_id=cluster_id,
+                          _W=W_obs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def W_obs(self) -> Optional[np.ndarray]:
+        """Per-observation weight contributions in full, shape (n, q, q), or None."""
+        if self.Z_obs is not None:
+            return np.swapaxes(self.Z_obs, 1, 2) @ (self.H @ self.Z_obs)
+        return self._W
 
     @property
     def n(self) -> int:
@@ -136,6 +206,14 @@ class LinearMomentSystem:
     def k(self) -> int:
         return self.G_obs.shape[2]
 
+    def take(self, rows) -> "LinearMomentSystem":
+        """The system of the observation units ``rows`` (repeats allowed)."""
+        if self.Z_obs is not None:
+            return LinearMomentSystem(h=self.h[rows], G_obs=self.G_obs[rows],
+                                      Z_obs=self.Z_obs[rows], H=self.H)
+        return LinearMomentSystem(h=self.h[rows], G_obs=self.G_obs[rows],
+                                  W_obs=None if self._W is None else self._W[rows])
+
     def g_obs(self, theta: np.ndarray) -> np.ndarray:
         """Per-observation moments g_i(theta) = h_i + G_i theta, shape (n, q)."""
         theta = _check_theta(theta, self.k)
@@ -146,9 +224,8 @@ class LinearMomentSystem:
         if spec.kind is WeightKind.IDENTITY:
             return np.eye(self.q)
         if spec.kind is WeightKind.DATA_AVERAGE:
-            if self.W_obs is None:
-                raise ValueError("system has no per-observation weight contributions")
-            return self.W_obs.mean(axis=0)
+            w = self.weight_obs(spec)
+            return w.mean() if isinstance(w, WeightFactors) else w.mean(axis=0)
         stats = moment_stats(self, spec.theta)
         if spec.kind is WeightKind.EFFICIENT:
             return stats.Omega
@@ -159,15 +236,19 @@ class LinearMomentSystem:
 
         Returns ``None`` for the identity weight (the third term of the
         influence contributions drops), an (n, q) array of rank-one factors
-        for the efficient kinds (Xi_i = f_i f_i'), or the (n, q, q) array of
-        stored contributions for the data-average weight.
+        for the efficient kinds (Xi_i = f_i f_i'), and for the data-average
+        weight either :class:`WeightFactors` (``Z_obs``, ``H``) or the
+        supplied (n, q, q) ``W_obs``. :func:`contribution_times` applies any
+        of these forms.
         """
         if spec.kind is WeightKind.IDENTITY:
             return None
         if spec.kind is WeightKind.DATA_AVERAGE:
-            if self.W_obs is None:
+            if self.Z_obs is not None:
+                return WeightFactors(self.Z_obs, self.H)
+            if self._W is None:
                 raise ValueError("system has no per-observation weight contributions")
-            return self.W_obs
+            return self._W
         g = self.g_obs(spec.theta)
         if spec.kind is WeightKind.EFFICIENT_CENTERED:
             g = g - g.mean(axis=0)
@@ -227,7 +308,8 @@ def build_iv_system(y: np.ndarray, X: np.ndarray, Z: np.ndarray) -> LinearMoment
     """Build the moment system of a linear IV regression y_i = X_i' theta + e_i.
 
     The moments are g_i(theta) = Z_i (y_i - X_i' theta), so h_i = Z_i y_i and
-    G_i = -Z_i X_i'. The stored weight contributions are Z_i Z_i', making the
+    G_i = -Z_i X_i'. The weight contributions Z_i Z_i' are stored as their
+    factors (``Z_obs`` holds each instrument row, ``H`` = [[1]]), making the
     data-average weight equal to Z'Z / n (the 2SLS weight).
 
     Parameters
@@ -239,7 +321,7 @@ def build_iv_system(y: np.ndarray, X: np.ndarray, Z: np.ndarray) -> LinearMoment
     Raises
     ------
     ValueError
-        On dimension mismatch or q < k.
+        On dimension mismatch, missing or non-finite entries, or q < k.
     SingularWeightError
         If Z'Z is rank deficient (never silently pseudo-inverted).
     """
@@ -253,6 +335,9 @@ def build_iv_system(y: np.ndarray, X: np.ndarray, Z: np.ndarray) -> LinearMoment
     n = y.shape[0]
     if X.shape[0] != n or Z.shape[0] != n:
         raise ValueError("y, X, Z must have the same number of rows")
+    for name, a in (("y", y), ("X", X), ("Z", Z)):
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"{name} has missing or non-finite entries")
     k, q = X.shape[1], Z.shape[1]
     if q < k:
         raise ValueError(f"need at least as many instruments as regressors, got q={q} < k={k}")
@@ -265,8 +350,7 @@ def build_iv_system(y: np.ndarray, X: np.ndarray, Z: np.ndarray) -> LinearMoment
         )
     h = Z * y[:, None]
     G_obs = -np.einsum("nq,nk->nqk", Z, X)
-    W_obs = np.einsum("nq,np->nqp", Z, Z)
-    return LinearMomentSystem(h=h, G_obs=G_obs, W_obs=W_obs)
+    return LinearMomentSystem(h=h, G_obs=G_obs, Z_obs=Z[:, None, :].copy(), H=np.ones((1, 1)))
 
 
 def differencing_weight(m: int) -> np.ndarray:
@@ -293,8 +377,10 @@ def build_ab_system(panel: PanelDataset, mode: str = "predetermined") -> LinearM
     q = (T-1)(T-2)/2.
 
     Each individual contributes one moment block Z_i' dy_i, so the returned
-    system has n = N rows; ``cluster_id`` is the individual index. The stored
-    weight contributions are Z_i' H Z_i with H the usual 2/-1 band matrix.
+    system has n = N rows; ``cluster_id`` is the individual index. The weight
+    contributions Z_i' H Z_i are stored as their factors: ``Z_obs`` holds the
+    (T-1) x q instrument blocks Z_i (T-2 rows in ``"ar1"`` mode) and ``H`` is
+    the usual 2/-1 band matrix.
 
     Raises
     ------
@@ -331,10 +417,8 @@ def _build_diff_gmm(y: np.ndarray, x: np.ndarray) -> LinearMomentSystem:
 
     h = np.einsum("net,ne->nt", Zmat, dy)
     G_obs = -np.einsum("net,ne->nt", Zmat, dx)[:, :, None]
-    H = differencing_weight(e)
-    W_obs = np.einsum("net,ef,nfs->nts", Zmat, H, Zmat)
-    W_obs = 0.5 * (W_obs + np.swapaxes(W_obs, 1, 2))
-    return LinearMomentSystem(h=h, G_obs=G_obs, W_obs=W_obs, cluster_id=np.arange(N))
+    return LinearMomentSystem(h=h, G_obs=G_obs, Z_obs=Zmat, H=differencing_weight(e),
+                              cluster_id=np.arange(N))
 
 
 def moment_stats(sys: LinearMomentSystem, theta: np.ndarray) -> MomentStats:

@@ -12,6 +12,7 @@ reproducible independent of draw order and scheduling.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Union
@@ -227,7 +228,12 @@ class StudyConfig:
 
 @dataclass(frozen=True)
 class EstimatorSummary:
-    """Aggregates for one estimator across replications."""
+    """Aggregates for one estimator across replications.
+
+    ``failures`` counts replications excluded from the aggregates;
+    ``nonconverged`` counts included ones whose iterated fit stopped at
+    ``max_iter`` without converging.
+    """
 
     mean_theta: float
     sd_theta: float
@@ -242,6 +248,7 @@ class EstimatorSummary:
     reject_boot: Optional[float] = None
     bootstrap_failures: int = 0
     sd_degenerate: bool = False
+    nonconverged: int = 0
 
 
 @dataclass(frozen=True)
@@ -270,6 +277,7 @@ def _chunk_records(cfg: StudyConfig, lo: int, hi: int) -> Dict[str, Dict[str, np
         res = batch.run(plan, compute_j=df > 0)
         rec: Dict[str, np.ndarray] = {}
         rec["ok"] = res.ok
+        rec["converged"] = res.converged
         rec["theta"] = res.theta[:, 0]
         rec["se_conv"] = res.se_conv[:, 0]
         rec["se_dc"] = res.se_dc[:, 0]
@@ -299,18 +307,31 @@ def _chunk_records(cfg: StudyConfig, lo: int, hi: int) -> Dict[str, Dict[str, np
     return out
 
 
+def worker_count(threads: Optional[int], chunks: int) -> int:
+    """Process-pool size for ``threads`` requested workers and ``chunks`` chunks.
+
+    Never more than one worker per chunk or per CPU; 1 means run serially.
+    """
+    if threads is None:
+        return 1
+    return max(1, min(threads, chunks, os.cpu_count() or 1))
+
+
 def run_study(cfg: StudyConfig, threads: Optional[int] = None,
               progress=None) -> StudySummary:
     """Run a Monte Carlo study and aggregate it into a summary.
 
     ``threads`` > 1 distributes fixed-size replication chunks over a process
-    pool; chunk boundaries and per-replication streams are independent of the
-    worker count, so the summary is a pure function of ``cfg``. Replications
-    that fail numerically are excluded from the aggregates and counted.
+    pool of at most :func:`worker_count` workers; chunk boundaries and
+    per-replication streams are independent of the worker count, so the
+    summary is a pure function of ``cfg``. Replications that fail numerically
+    are excluded from the aggregates and counted; iterated fits that stop at
+    ``max_iter`` without converging stay in the aggregates and are counted
+    as ``nonconverged``.
     """
     R = cfg.replications
     bounds = [(lo, min(lo + CHUNK_SIZE, R)) for lo in range(0, R, CHUNK_SIZE)]
-    fields = ["ok", "theta", "se_conv", "se_dc", "se_w",
+    fields = ["ok", "converged", "theta", "se_conv", "se_dc", "se_w",
               "rej_conv", "rej_dc", "rej_w", "rej_j", "boot"]
     store = {est: {f: np.empty(R) for f in fields} for est in cfg.estimators}
 
@@ -320,14 +341,15 @@ def run_study(cfg: StudyConfig, threads: Optional[int] = None,
                 store[est][f][lo:hi] = rec[f]
 
     done = 0
-    if threads is None or threads <= 1:
+    workers = worker_count(threads, len(bounds))
+    if workers == 1:
         for lo, hi in bounds:
             place(lo, hi, _chunk_records(cfg, lo, hi))
             done += hi - lo
             if progress:
                 progress(done, R)
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {pool.submit(_chunk_records, cfg, lo, hi): (lo, hi)
                        for lo, hi in bounds}
             for fut in as_completed(futures):
@@ -367,6 +389,7 @@ def run_study(cfg: StudyConfig, threads: Optional[int] = None,
             if cfg.wants_bootstrap(est) and boot_ok.any() else None,
             bootstrap_failures=int((~boot_ok).sum()) if cfg.wants_bootstrap(est) else 0,
             sd_degenerate=sd_degenerate,
+            nonconverged=int((~rec["converged"][ok].astype(bool)).sum()),
         )
     return StudySummary(
         config=cfg,

@@ -18,7 +18,13 @@ import numpy as np
 from ._linalg import COND_LIMIT, PdSolver, cond_sym, inv_sym
 from .errors import IllConditionedCorrectionError
 from .estimate import GmmFit
-from .linmoment import LinearMomentSystem, moment_stats, omega_derivative
+from .linmoment import (
+    LinearMomentSystem,
+    WeightFactors,
+    contribution_times,
+    moment_stats,
+    omega_derivative,
+)
 
 
 @dataclass(frozen=True)
@@ -60,7 +66,7 @@ class VarianceReport:
 
 def m_contributions(sys: LinearMomentSystem, theta: np.ndarray,
                     weight: Union[np.ndarray, PdSolver],
-                    weight_obs: Optional[np.ndarray]) -> np.ndarray:
+                    weight_obs: Union[None, np.ndarray, WeightFactors]) -> np.ndarray:
     """Per-observation influence contributions of a weighted GMM fit.
 
     Row i is
@@ -71,7 +77,9 @@ def m_contributions(sys: LinearMomentSystem, theta: np.ndarray,
     where Xi is the weight matrix and Xi_i its per-observation contribution.
     ``weight_obs=None`` marks the identity weight, for which the last term
     drops; an (n, q) array gives rank-one contributions f_i f_i' (efficient
-    weights); an (n, q, q) array gives them in full (data-average weights).
+    weights); :class:`~gmmdc.linmoment.WeightFactors` gives data-average
+    contributions Z_i' H Z_i, applied as Z_i' H (Z_i b) without forming them;
+    an (n, q, q) array gives them in full.
 
     Returns an (n, k) array whose column means vanish at the fitted estimate
     by the first-order condition.
@@ -84,14 +92,7 @@ def m_contributions(sys: LinearMomentSystem, theta: np.ndarray,
     b = solver.solve(g_n)                       # Xi^-1 g_n, (q,)
     m = g @ aG + np.einsum("nqk,q->nk", sys.G_obs, b)
     if weight_obs is not None:
-        w = np.asarray(weight_obs, dtype=float)
-        if w.ndim == 2:
-            t = w * (w @ b)[:, None]            # f_i (f_i' b)
-        elif w.ndim == 3:
-            t = np.einsum("nqp,p->nq", w, b)
-        else:
-            raise ValueError("weight_obs must be (n, q) factors or (n, q, q) matrices")
-        m = m - t @ aG
+        m = m - contribution_times(weight_obs, b) @ aG
     return m
 
 

@@ -10,14 +10,17 @@ import pytest
 
 from gmmdc import (
     FitPlan,
+    LinearMomentSystem,
     ReplicationStreams,
     WeightSpec,
     build_ab_system,
     build_iv_system,
     dgp_iv,
+    dgp_panel_lag,
     dgp_panel_rc,
     fit,
     j_test,
+    mr_bootstrap,
     variance_report,
 )
 from gmmdc._batch import BatchGmm
@@ -69,13 +72,52 @@ def test_batch_stacks_many_distinct_systems():
 def test_batch_flags_singular_replications():
     y, X, Z = dgp_iv(40, 0.0, ReplicationStreams(57, 0))
     sysm = build_iv_system(y, X, Z)
-    batch = BatchGmm.from_stack([sysm])
-    batch.h = np.concatenate([batch.h, np.zeros_like(batch.h)])
-    batch.G = np.concatenate([batch.G, np.zeros_like(batch.G)])
-    batch.W_obs = np.concatenate([batch.W_obs, np.zeros_like(batch.W_obs)])
-    batch.R = 2
-    batch.h_n = batch.h.mean(axis=1)
-    batch.G_n = batch.G.mean(axis=1)
+    singular = LinearMomentSystem(h=np.zeros_like(sysm.h), G_obs=np.zeros_like(sysm.G_obs),
+                                  Z_obs=np.zeros_like(sysm.Z_obs), H=sysm.H)
+    batch = BatchGmm.from_stack([sysm, singular])
     res = batch.run(FitPlan.two_step())
     assert res.ok[0] and not res.ok[1]
     assert np.isfinite(res.se_dc[0]).all()
+
+
+def test_builder_systems_never_materialize_full_contributions(monkeypatch):
+    """Builder-made systems reach every fit, variance and bootstrap path through
+    their factors only: no (R, n, q, q) array is stacked, gathered or built."""
+    y, X, Z = dgp_iv(60, 0.5, ReplicationStreams(58, 0))
+    systems = [build_iv_system(y, X, Z),
+               build_ab_system(dgp_panel_lag(40, 5, 0.2, ReplicationStreams(58, 1))),
+               build_ab_system(dgp_panel_rc(40, 5, 0.2, ReplicationStreams(58, 2)), mode="ar1")]
+
+    def refuse(self):
+        raise AssertionError("full weight contributions materialized")
+
+    monkeypatch.setattr(LinearMomentSystem, "W_obs", property(refuse))
+    plans = [FitPlan(kind, centered=centered) for kind in ("one-step", "two-step", "iterated")
+             for centered in (False, True)]
+    for sysm in systems:
+        idx = np.random.default_rng(0).integers(0, sysm.n, size=(3, sysm.n))
+        for batch in (BatchGmm.from_stack([sysm, sysm]), BatchGmm.from_system(sysm, idx)):
+            assert batch.W_obs is None
+            shapes = [a.shape for a in vars(batch).values() if isinstance(a, np.ndarray)]
+            assert (batch.R, batch.n, batch.q, batch.q) not in shapes
+            for plan in plans:
+                assert batch.run(plan, compute_j=True).ok.all()
+        for plan in plans:
+            variance_report(sysm, fit(sysm, plan))
+        mr_bootstrap(sysm, FitPlan.two_step(), 0, 99, seed=1)
+
+
+@pytest.mark.parametrize("kind", ["one-step", "two-step", "iterated"])
+def test_supplied_tensor_matches_factors(kind):
+    """A system given its contributions in full runs the same numbers as the
+    builder's factored system, batched and scalar."""
+    plan = FitPlan(kind)
+    for label, sysm in _systems():
+        full = LinearMomentSystem(h=sysm.h, G_obs=sysm.G_obs, W_obs=sysm.W_obs)
+        a = BatchGmm.from_stack([sysm]).run(plan)
+        b = BatchGmm.from_stack([full]).run(plan)
+        assert b.ok[0], label
+        assert np.allclose(a.theta, b.theta, rtol=1e-12)
+        assert np.allclose(a.se_dc, b.se_dc, rtol=1e-10)
+        rep = variance_report(full, fit(full, plan))
+        assert np.allclose(b.se_dc[0], rep.se_dc, rtol=1e-9)

@@ -17,6 +17,7 @@ from gmmdc import (
     j_test,
     variance_report,
 )
+from gmmdc import montecarlo
 from gmmdc.cli import main
 
 
@@ -164,6 +165,17 @@ class TestEstimateCommand:
         assert code == 2
         assert "unbalanced" in capsys.readouterr().err
 
+    def test_non_finite_cell_exits_2(self, iv_csv, tmp_path, capsys):
+        _, x_cols, z_cols, (y, X, Z) = iv_csv
+        y = y.copy()
+        y[5] = np.nan
+        path = tmp_path / "nan.csv"
+        write_iv_csv(path, y, X, Z)
+        code = main(["estimate", "iv", "--data", str(path), "--y", "y",
+                     "--x", x_cols, "--z", z_cols])
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+
     def test_collinear_instruments_exit_3(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
         X = rng.standard_normal((30, 1))
@@ -191,6 +203,19 @@ class TestSimulateCommand:
         table = capsys.readouterr().out
         two = result["estimators"]["two"]
         assert f"{two['mean_theta']:.4f}" in table
+
+    def test_nonconverged_count_in_json(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(montecarlo._ESTIMATOR_PLANS, "iter",
+                            lambda: FitPlan.iterated(max_iter=1))
+        out = tmp_path / "s.json"
+        code = main(["simulate", "--design", "iv", "--n", "60", "--reps", "12",
+                     "--seed", "3", "--threads", "1", "--estimators", "two,iter",
+                     "--json", str(out)])
+        assert code == 0
+        blocks = json.loads(out.read_text())["estimators"]
+        assert blocks["two"]["nonconverged"] == 0
+        assert blocks["iter"]["nonconverged"] == 12 - blocks["iter"]["failures"] > 0
+        assert "not converged" in capsys.readouterr().out
 
     def test_single_replication_summary(self, tmp_path, capsys):
         code = main(["simulate", "--design", "iv", "--n", "60", "--reps", "1",

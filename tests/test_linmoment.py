@@ -5,15 +5,21 @@ from gmmdc import (
     FitPlan,
     LinearMomentSystem,
     PanelDataset,
+    ReplicationStreams,
     SingularWeightError,
     WeightSpec,
     build_ab_system,
     build_iv_system,
+    dgp_iv,
+    dgp_panel_lag,
+    dgp_panel_rc,
     differencing_weight,
     fit,
+    m_contributions,
     moment_stats,
     omega_derivative,
 )
+from gmmdc.linmoment import WeightFactors
 from conftest import random_system
 
 
@@ -50,6 +56,15 @@ class TestBuildIvSystem:
         Z = rng.standard_normal((25, 3))
         sysm = build_iv_system(y, X, Z)
         assert np.allclose(sysm.weight_matrix(WeightSpec.data_average()), Z.T @ Z / 25)
+
+    @pytest.mark.parametrize("name", ["y", "X", "Z"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, rng, name, bad):
+        data = {"y": rng.standard_normal(20), "X": rng.standard_normal((20, 1)),
+                "Z": rng.standard_normal((20, 3))}
+        data[name].flat[7] = bad
+        with pytest.raises(ValueError, match=f"{name} has missing or non-finite"):
+            build_iv_system(data["y"], data["X"], data["Z"])
 
     def test_dimension_mismatch_rejected(self, rng):
         with pytest.raises(ValueError):
@@ -225,3 +240,79 @@ class TestSystemInvariants:
             WeightSpec.efficient_uncentered(None)
         with pytest.raises(ValueError):
             WeightSpec(kind=WeightSpec.identity().kind, theta=np.zeros(1))
+
+
+def _builder_systems():
+    y, X, Z = dgp_iv(80, 0.5, ReplicationStreams(61, 0))
+    yield "iv", build_iv_system(y, X, Z)
+    panel = dgp_panel_lag(40, 5, 0.3, ReplicationStreams(61, 1))
+    yield "predetermined", build_ab_system(panel, mode="predetermined")
+    panel = dgp_panel_rc(40, 6, 0.2, ReplicationStreams(61, 2))
+    yield "ar1", build_ab_system(panel, mode="ar1")
+
+
+def _rel_dev(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+class TestFactoredWeightContributions:
+    @pytest.mark.parametrize("label", ["iv", "predetermined", "ar1"])
+    def test_builders_store_factors(self, label):
+        sysm = dict(_builder_systems())[label]
+        n, e, q = sysm.Z_obs.shape
+        assert (n, q) == (sysm.n, sysm.q)
+        if label == "iv":
+            assert e == 1 and np.array_equal(sysm.H, np.ones((1, 1)))
+        else:
+            assert np.array_equal(sysm.H, differencing_weight(e))
+        W = sysm.W_obs
+        assert W.shape == (n, q, q)
+        for i in (0, n // 2, n - 1):
+            assert np.allclose(W[i], sysm.Z_obs[i].T @ sysm.H @ sysm.Z_obs[i], rtol=1e-14)
+
+    @pytest.mark.parametrize("label", ["iv", "predetermined", "ar1"])
+    def test_data_average_weight_matches_tensor_mean(self, label):
+        sysm = dict(_builder_systems())[label]
+        got = sysm.weight_matrix(WeightSpec.data_average())
+        assert _rel_dev(got, sysm.W_obs.mean(axis=0)) <= 1e-12
+        assert np.array_equal(got, got.T)
+
+    @pytest.mark.parametrize("label", ["iv", "predetermined", "ar1"])
+    def test_m_contributions_factored_equal_tensor(self, label, rng):
+        sysm = dict(_builder_systems())[label]
+        spec = WeightSpec.data_average()
+        factors = sysm.weight_obs(spec)
+        assert isinstance(factors, WeightFactors)
+        weight = sysm.weight_matrix(spec)
+        theta = fit(sysm, FitPlan.one_step()).theta + 0.1 * rng.standard_normal(sysm.k)
+        got = m_contributions(sysm, theta, weight, factors)
+        want = m_contributions(sysm, theta, weight, sysm.W_obs)
+        assert _rel_dev(got, want) <= 1e-12
+
+    def test_take_keeps_the_storage_form(self, rng):
+        factored = dict(_builder_systems())["predetermined"]
+        rows = rng.integers(0, factored.n, size=factored.n)
+        sub = factored.take(rows)
+        assert np.array_equal(sub.Z_obs, factored.Z_obs[rows])
+        assert np.array_equal(sub.W_obs, factored.W_obs[rows])
+        full = random_system(rng)
+        assert np.array_equal(full.take(rows[:30]).W_obs, full.W_obs[rows[:30]])
+
+    def test_invalid_factors_rejected(self, rng):
+        h = rng.standard_normal((10, 2))
+        G = rng.standard_normal((10, 2, 1))
+        Z = rng.standard_normal((10, 3, 2))
+        with pytest.raises(ValueError, match="together"):
+            LinearMomentSystem(h=h, G_obs=G, Z_obs=Z)
+        with pytest.raises(ValueError, match="H must be symmetric"):
+            LinearMomentSystem(h=h, G_obs=G, Z_obs=Z, H=rng.standard_normal((3, 3)))
+        with pytest.raises(ValueError, match="not both"):
+            LinearMomentSystem(h=h, G_obs=G, Z_obs=Z, H=np.eye(3),
+                               W_obs=np.tile(np.eye(2), (10, 1, 1)))
+        with pytest.raises(ValueError, match=r"\(n, e, q\)"):
+            LinearMomentSystem(h=h, G_obs=G, Z_obs=Z[:, :, :1], H=np.eye(3))
+
+    def test_systems_are_immutable(self, rng):
+        sysm = random_system(rng)
+        with pytest.raises(AttributeError):
+            sysm.h = np.zeros_like(sysm.h)

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from gmmdc import (
     fit,
     run_study,
 )
+from gmmdc import montecarlo
+from gmmdc.montecarlo import worker_count
 
 
 class TestDgpIv:
@@ -142,6 +145,27 @@ class TestRunStudy:
             a = dataclasses.asdict(serial.estimators[est])
             b = dataclasses.asdict(parallel.estimators[est])
             assert a == b
+
+    def test_worker_count_is_bounded(self):
+        cpus = os.cpu_count() or 1
+        assert worker_count(None, 10) == 1
+        assert worker_count(0, 10) == 1
+        assert worker_count(-3, 10) == 1
+        assert worker_count(1, 10) == 1
+        assert worker_count(10**6, 3) == min(3, cpus)
+        assert worker_count(10**6, 10**6) == cpus
+        assert worker_count(2, 1) == 1
+
+    def test_nonconverged_iterations_are_counted(self, monkeypatch):
+        cfg = StudyConfig(design=IvLocal(n=60, alpha0=0.0), replications=20,
+                          estimators=("two", "iter"), seed=12)
+        assert run_study(cfg).estimators["iter"].nonconverged == 0
+        monkeypatch.setitem(montecarlo._ESTIMATOR_PLANS, "iter",
+                            lambda: FitPlan.iterated(max_iter=1))
+        summary = run_study(cfg)
+        it = summary.estimators["iter"]
+        assert it.nonconverged == cfg.replications - it.failures > 0
+        assert summary.estimators["two"].nonconverged == 0
 
     def test_panel_designs_run_end_to_end(self):
         for design in (PanelRandomCoef(N=40, T=4, alpha0=0.1),
