@@ -409,6 +409,7 @@ def cmd_simulate(args) -> dict:
             "bootstrap_failures": s.bootstrap_failures,
             "sd_degenerate": s.sd_degenerate,
             "nonconverged": s.nonconverged,
+            "failure_reasons": s.failure_reasons,
         }
     return {
         "schema": SCHEMA,
@@ -421,7 +422,7 @@ def cmd_simulate(args) -> dict:
             "bootstrap_B": cfg.bootstrap_B,
             "fixed_misspec": cfg.fixed_misspec,
             "centered": cfg.centered,
-            "threads": threads,
+            "threads": summary.workers,
         },
         "estimators": blocks,
         "failure_warning": summary.failure_warning,
@@ -451,7 +452,9 @@ def _print_simulate_table(result: dict) -> None:
         print(f"{label:<14}{cells}")
     failures = {e: result["estimators"][e]["failures"] for e in ests}
     if any(failures.values()):
-        print(f"failures: {failures}")
+        reasons = {e: {r: c for r, c in result["estimators"][e]["failure_reasons"].items() if c}
+                   for e in ests}
+        print(f"failures: {failures}, by reason: {reasons}")
     nonconverged = {e: result["estimators"][e]["nonconverged"] for e in ests}
     if any(nonconverged.values()):
         print(f"not converged (kept in the aggregates): {nonconverged}")

@@ -1,4 +1,8 @@
-"""Closed-form linear GMM solvers: one-step, two-step, and iterated."""
+"""Linear GMM estimators: one-step, two-step, and iterated.
+
+The plan and result types live here; the fitting itself is the R = 1 view of
+the estimation kernel in :mod:`gmmdc._batch`.
+"""
 
 from __future__ import annotations
 
@@ -8,9 +12,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ._linalg import COND_LIMIT, PdSolver, cond_sym
-from .errors import SingularNormalMatrixError
-from .linmoment import LinearMomentSystem, WeightSpec, moment_stats
+from ._batch import BatchGmm, Status
+from .linmoment import LinearMomentSystem, WeightSpec
 
 #: Default relative convergence tolerance for the iterated estimator.
 DEFAULT_TOL = 1e-8
@@ -92,8 +95,8 @@ class GmmFit:
 def solve_weighted(sys: LinearMomentSystem, weight: np.ndarray) -> np.ndarray:
     """Minimize g_n(theta)' weight^-1 g_n(theta) in closed form.
 
-    Returns theta = -(G_n' W^-1 G_n)^-1 G_n' W^-1 h_n via Cholesky solves
-    with iterative refinement; no matrix is inverted explicitly.
+    Returns theta = -(G_n' W^-1 G_n)^-1 G_n' W^-1 h_n, the kernel's solve
+    (:meth:`BatchGmm.solve`) on a one-system stack.
 
     Raises
     ------
@@ -102,70 +105,30 @@ def solve_weighted(sys: LinearMomentSystem, weight: np.ndarray) -> np.ndarray:
     SingularNormalMatrixError
         If G_n' W^-1 G_n has condition number above 1e12.
     """
-    h_n = sys.h.mean(axis=0)
-    G_n = sys.G_obs.mean(axis=0)
-    solver = PdSolver(np.asarray(weight, dtype=float), "weight matrix")
-    return _solve_weighted(h_n, G_n, solver)
-
-
-def _solve_weighted(h_n: np.ndarray, G_n: np.ndarray, solver: PdSolver) -> np.ndarray:
-    aG = solver.solve(G_n)
-    m = G_n.T @ aG
-    m = 0.5 * (m + m.T)
-    cond = cond_sym(m)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularNormalMatrixError(
-            f"G_n' W^-1 G_n is numerically singular (condition number {cond:.3e})"
-        )
-    rhs = aG.T @ h_n
-    msolver = PdSolver(m, "normal matrix")
-    return -msolver.solve(rhs)
+    batch = BatchGmm.from_stack([sys])
+    status = Status(1)
+    theta = batch.solve(np.asarray(weight, dtype=float)[None], status).theta
+    status.raise_for(0)
+    return theta[0]
 
 
 def fit(sys: LinearMomentSystem, plan: FitPlan) -> GmmFit:
     """Run the one-step, two-step, or iterated GMM estimator.
 
-    The two-step estimator reweights with the second-moment matrix evaluated
-    at the one-step estimate; the iterated estimator repeats that update from
+    The kernel's fit stage (:meth:`BatchGmm.fit`) on a one-system stack. The
+    two-step estimator reweights with the second-moment matrix evaluated at
+    the one-step estimate; the iterated estimator repeats that update from
     the one-step estimate until the step size falls below
     ``tol * (1 + ||previous||)`` or ``max_iter`` is hit. Non-convergence is
     reported through ``converged=False`` (with a warning), not an error.
     """
-    h_n = sys.h.mean(axis=0)
-    G_n = sys.G_obs.mean(axis=0)
-    w0 = sys.weight_matrix(plan.w0)
-    theta1 = _solve_weighted(h_n, G_n, PdSolver(w0, "preliminary weight"))
-    steps = [FitStep(theta1, w0)]
-
-    if plan.kind == "one-step":
-        theta, converged = theta1, True
-    else:
-        max_updates = 1 if plan.kind == "two-step" else plan.max_iter
-        theta_prev = theta1
-        converged = plan.kind == "two-step"
-        for _ in range(max_updates):
-            stats = moment_stats(sys, theta_prev)
-            omega = stats.Omega_c if plan.centered else stats.Omega
-            theta = _solve_weighted(h_n, G_n, PdSolver(omega, "efficient weight"))
-            steps.append(FitStep(theta, omega))
-            if plan.kind == "iterated":
-                if np.linalg.norm(theta - theta_prev) < plan.tol * (1 + np.linalg.norm(theta_prev)):
-                    converged = True
-                    break
-            theta_prev = theta
-        if plan.kind == "iterated" and not converged:
-            warnings.warn(
-                f"iterated GMM did not converge within {plan.max_iter} updates; "
-                "returning the last iterate",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-
-    return GmmFit(
-        theta=theta,
-        steps=tuple(steps),
-        g_n_hat=h_n + G_n @ theta,
-        converged=converged,
-        iterations=len(steps),
-        plan=plan,
-    )
+    batch = BatchGmm.from_stack([sys])
+    state = batch.fit(plan)
+    state.status.raise_for(0)
+    steps = tuple(FitStep(theta, weight) for theta, weight in batch.chain(state))
+    converged = bool(state.converged[0])
+    if not converged:
+        warnings.warn(f"iterated GMM did not converge within {plan.max_iter} updates; "
+                      "returning the last iterate", RuntimeWarning, stacklevel=2)
+    theta = state.theta[0]
+    return GmmFit(theta, steps, batch.h_n[0] + batch.G_n[0] @ theta, converged, len(steps), plan)

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg as sla
 
-from .linmoment import LinearMomentSystem
+from .linmoment import LinearMomentSystem, WeightSpec
 
 
 @dataclass(frozen=True)
@@ -97,10 +97,11 @@ class _Deviations:
         g = sample.g_obs(truth.theta0)
         self.g_tilde = rn * g.mean(axis=0) - truth.delta
         self.G_tilde = rn * (sample.G_obs.mean(axis=0) - truth.G)
-        if sample.W_obs is not None:
-            self.W_tilde = rn * (sample.W_obs.mean(axis=0) - truth.W)
-        else:
-            self.W_tilde = np.zeros_like(truth.W)
+        try:
+            W_n = sample.weight_matrix(WeightSpec.data_average())
+        except ValueError:          # no per-observation weight contributions
+            W_n = None
+        self.W_tilde = np.zeros_like(truth.W) if W_n is None else rn * (W_n - truth.W)
         omega_n = g.T @ g / n
         self.Omega_tilde = rn * (omega_n - truth.Omega)
 

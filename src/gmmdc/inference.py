@@ -18,8 +18,7 @@ from scipy import stats as spstats
 from ._batch import BatchGmm
 from .errors import DegenerateVarianceError, GmmError, JNotDefinedError
 from .estimate import FitPlan, GmmFit, fit
-from .linmoment import LinearMomentSystem, moment_stats
-from ._linalg import PdSolver
+from .linmoment import LinearMomentSystem
 from .variance import VarianceReport, variance_report
 
 #: Stream-domain tag so bootstrap draws never collide with DGP draws.
@@ -87,9 +86,10 @@ def j_test(sys: LinearMomentSystem, fit_result: GmmFit) -> TestResult:
     """Test of the overidentifying restrictions.
 
     The statistic is n g_n(theta)' Xi^-1 g_n(theta) with Xi the efficient
-    second-moment weight of the final step (for one-step fits, evaluated at
-    the estimate after fitting), referred to chi-square with q - k degrees of
-    freedom.
+    second-moment weight at the one-step estimate for one- and two-step fits
+    (the two-step's second weight) and at the estimate for iterated fits,
+    referred to chi-square with q - k degrees of freedom. This is the
+    kernel's :meth:`BatchGmm.j_stat` on a one-system stack.
 
     Raises
     ------
@@ -99,15 +99,10 @@ def j_test(sys: LinearMomentSystem, fit_result: GmmFit) -> TestResult:
     df = sys.q - sys.k
     if df <= 0:
         raise JNotDefinedError("the J test requires more moments than parameters")
-    plan = fit_result.plan
-    if plan.kind == "two-step":
-        weight = fit_result.final_weight
-    else:
-        point = fit_result.steps[0].theta if plan.kind == "one-step" else fit_result.theta
-        stats_at = moment_stats(sys, point)
-        weight = stats_at.Omega_c if plan.centered else stats_at.Omega
-    g_n = sys.g_obs(fit_result.theta).mean(axis=0)
-    j = sys.n * PdSolver(weight, "efficient weight").quad_form(g_n)
+    batch = BatchGmm.from_stack([sys])
+    state = batch.resume(fit_result.plan, fit_result.theta[None])
+    j = float(batch.j_stat(state)[0])
+    state.status.raise_for(0)
     p = float(spstats.chi2.sf(j, df))
     return TestResult(statistic=float(j), p_value=p, reject_5pct=p < 0.05, df=df)
 

@@ -19,8 +19,11 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ._linalg import COND_LIMIT
 from .errors import SingularWeightError
+
+#: Condition number beyond which a weight, normal or correction matrix is
+#: declared numerically singular.
+COND_LIMIT = 1e12
 
 
 class WeightKind(Enum):

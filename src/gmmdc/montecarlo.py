@@ -20,7 +20,7 @@ from typing import Dict, Optional, Tuple, Union
 import numpy as np
 from scipy import stats as spstats
 
-from ._batch import BatchGmm
+from ._batch import FATAL_REASONS, BatchGmm
 from .errors import GmmError
 from .estimate import FitPlan
 from .inference import mr_bootstrap
@@ -230,9 +230,11 @@ class StudyConfig:
 class EstimatorSummary:
     """Aggregates for one estimator across replications.
 
-    ``failures`` counts replications excluded from the aggregates;
-    ``nonconverged`` counts included ones whose iterated fit stopped at
-    ``max_iter`` without converging.
+    ``failures`` counts replications excluded from the aggregates and
+    ``failure_reasons`` splits that count by :class:`~gmmdc._batch.Reason`
+    label (every fatal reason, zeros included); ``nonconverged`` counts
+    included ones whose iterated fit stopped at ``max_iter`` without
+    converging.
     """
 
     mean_theta: float
@@ -249,15 +251,18 @@ class EstimatorSummary:
     bootstrap_failures: int = 0
     sd_degenerate: bool = False
     nonconverged: int = 0
+    failure_reasons: Dict[str, int] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class StudySummary:
-    """Aggregated study output: one block per estimator."""
+    """Aggregated study output: one block per estimator, and the number of
+    worker processes the study ran on (1 when serial)."""
 
     config: StudyConfig
     estimators: Dict[str, EstimatorSummary]
     failure_warning: bool = field(default=False)
+    workers: int = 1
 
 
 def _chunk_records(cfg: StudyConfig, lo: int, hi: int) -> Dict[str, Dict[str, np.ndarray]]:
@@ -277,6 +282,7 @@ def _chunk_records(cfg: StudyConfig, lo: int, hi: int) -> Dict[str, Dict[str, np
         res = batch.run(plan, compute_j=df > 0)
         rec: Dict[str, np.ndarray] = {}
         rec["ok"] = res.ok
+        rec["reason"] = res.status.reason
         rec["converged"] = res.converged
         rec["theta"] = res.theta[:, 0]
         rec["se_conv"] = res.se_conv[:, 0]
@@ -331,7 +337,7 @@ def run_study(cfg: StudyConfig, threads: Optional[int] = None,
     """
     R = cfg.replications
     bounds = [(lo, min(lo + CHUNK_SIZE, R)) for lo in range(0, R, CHUNK_SIZE)]
-    fields = ["ok", "converged", "theta", "se_conv", "se_dc", "se_w",
+    fields = ["ok", "reason", "converged", "theta", "se_conv", "se_dc", "se_w",
               "rej_conv", "rej_dc", "rej_w", "rej_j", "boot"]
     store = {est: {f: np.empty(R) for f in fields} for est in cfg.estimators}
 
@@ -390,9 +396,11 @@ def run_study(cfg: StudyConfig, threads: Optional[int] = None,
             bootstrap_failures=int((~boot_ok).sum()) if cfg.wants_bootstrap(est) else 0,
             sd_degenerate=sd_degenerate,
             nonconverged=int((~rec["converged"][ok].astype(bool)).sum()),
+            failure_reasons={r.label: int((rec["reason"] == r).sum()) for r in FATAL_REASONS},
         )
     return StudySummary(
         config=cfg,
         estimators=summaries,
         failure_warning=worst_failure_rate > 1e-3,
+        workers=workers,
     )

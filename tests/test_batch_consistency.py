@@ -1,12 +1,16 @@
-"""The vectorized replication kernel must agree with the single-system path.
+"""The estimation kernel: stacking, reason codes and storage forms.
 
-Every estimator kind, preliminary weight, and centering option is compared
-against fit/variance_report/j_test on both IV and panel systems; the scalar
-implementations are the reference.
+``fit``, ``variance_report`` and ``j_test`` are R = 1 views of
+:class:`~gmmdc._batch.BatchGmm`, so these tests check that a system's row in a
+stack of distinct systems equals its own one-system run, that failures carry
+their reason, and that invariances the estimators must have hold. Agreement
+with the closed-form oracle in ``reference_formulas.py`` is tested in
+``test_variance.py`` and by acceptance criterion 6.
 """
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from gmmdc import (
     FitPlan,
@@ -23,7 +27,7 @@ from gmmdc import (
     mr_bootstrap,
     variance_report,
 )
-from gmmdc._batch import BatchGmm
+from gmmdc._batch import BatchGmm, Reason
 
 
 def _systems():
@@ -33,27 +37,42 @@ def _systems():
     yield "panel", build_ab_system(panel, mode="ar1")
 
 
+def _stacks():
+    """Several distinct same-shaped systems per design."""
+    iv = [build_iv_system(*dgp_iv(60, 0.5, ReplicationStreams(55, r))) for r in range(4)]
+    panel = [build_ab_system(dgp_panel_rc(50, 4, 0.1, ReplicationStreams(55, 10 + r)),
+                             mode="ar1") for r in range(4)]
+    return {"iv": iv, "panel": panel}
+
+
+def _close(a, b, rtol):
+    return np.allclose(a, b, rtol=rtol, atol=rtol * np.abs(b).max())
+
+
 @pytest.mark.parametrize("kind", ["one-step", "two-step", "iterated"])
 @pytest.mark.parametrize("weight", ["data-average", "identity"])
 @pytest.mark.parametrize("centered", [False, True])
 def test_batch_matches_scalar_path(kind, weight, centered):
+    """Each system's row in a stack of distinct systems equals the
+    single-system views fit, variance_report and j_test."""
     w0 = WeightSpec.identity() if weight == "identity" else WeightSpec.data_average()
     plan = FitPlan(kind, w0, centered)
-    for label, sysm in _systems():
-        batch = BatchGmm.from_stack([sysm])
-        res = batch.run(plan, compute_j=True)
-        assert res.ok[0], f"{label} flagged as failed"
-        f = fit(sysm, plan)
-        rep = variance_report(sysm, f)
-        assert np.allclose(res.theta[0], f.theta, rtol=1e-11)
-        assert np.allclose(res.se_conv[0], rep.se_conv, rtol=1e-9)
-        assert np.allclose(res.se_dc[0], rep.se_dc, rtol=1e-9)
-        if kind == "one-step":
-            assert res.se_w is None
-        else:
-            assert np.allclose(res.se_w[0], rep.se_w, rtol=1e-9)
-        jt = j_test(sysm, f)
-        assert res.j_stat[0] == pytest.approx(jt.statistic, rel=1e-9)
+    for label, systems in _stacks().items():
+        res = BatchGmm.from_stack(systems).run(plan, compute_j=True)
+        assert res.ok.all(), f"{label} flagged as failed"
+        for r, sysm in enumerate(systems):
+            f = fit(sysm, plan)
+            rep = variance_report(sysm, f)
+            assert _close(res.theta[r], f.theta, 1e-12)
+            for name in ("V_conv", "V_dc", "D_hat", "Sigma_n", "se_conv", "se_dc"):
+                assert _close(getattr(res, name)[r], getattr(rep, name), 1e-12), (label, name)
+            if kind == "one-step":
+                assert res.se_w is None and rep.se_w is None
+            else:
+                assert _close(res.V_w[r], rep.V_w, 1e-12)
+            assert (res.C_hat is None) == (rep.C_hat is None) == (kind != "two-step")
+            assert res.iterations[r] == f.iterations == len(f.steps)
+            assert res.j_stat[r] == pytest.approx(j_test(sysm, f).statistic, rel=1e-12)
 
 
 def test_batch_stacks_many_distinct_systems():
@@ -77,6 +96,8 @@ def test_batch_flags_singular_replications():
     batch = BatchGmm.from_stack([sysm, singular])
     res = batch.run(FitPlan.two_step())
     assert res.ok[0] and not res.ok[1]
+    assert res.status.reason[0] == Reason.OK
+    assert res.status.reason[1] == Reason.PRELIMINARY_WEIGHT_NOT_PD
     assert np.isfinite(res.se_dc[0]).all()
 
 
@@ -121,3 +142,95 @@ def test_supplied_tensor_matches_factors(kind):
         assert np.allclose(a.se_dc, b.se_dc, rtol=1e-10)
         rep = variance_report(full, fit(full, plan))
         assert np.allclose(b.se_dc[0], rep.se_dc, rtol=1e-9)
+
+
+def test_nonconvergence_is_a_nonfatal_reason():
+    y, X, Z = dgp_iv(60, 0.8, ReplicationStreams(2, 2))
+    res = BatchGmm.from_stack([build_iv_system(y, X, Z)]).run(
+        FitPlan.iterated(max_iter=1, tol=1e-16))
+    assert res.ok[0] and not res.converged[0]
+    assert res.status.reason[0] == Reason.NOT_CONVERGED
+    assert res.iterations[0] == 2
+
+
+# ---------------------------------------------------------------------------
+# properties over random systems
+
+KINDS = ("one-step", "two-step", "iterated")
+WEIGHTS = ("identity", "data-average", "efficient", "efficient-centered")
+
+
+@st.composite
+def _random_stack(draw, just_identified=False):
+    """Three distinct random systems sharing (n, q, k), with factored
+    data-average contributions Z_i' Z_i."""
+    q = draw(st.integers(1, 5))
+    k = q if just_identified else draw(st.integers(1, q))
+    n = draw(st.integers(q + 8, 40))
+    e = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    G_mean = rng.standard_normal((q, k))
+    return [LinearMomentSystem(h=rng.standard_normal((n, q)),
+                               G_obs=G_mean + rng.standard_normal((n, q, k)),
+                               Z_obs=rng.standard_normal((n, e, q)), H=np.eye(e))
+            for _ in range(3)]
+
+
+def _plan(kind, weight, centered, k):
+    w0 = {"identity": WeightSpec.identity(),
+          "data-average": WeightSpec.data_average(),
+          "efficient": WeightSpec.efficient_uncentered(np.zeros(k)),
+          "efficient-centered": WeightSpec.efficient_centered(np.full(k, 0.5))}[weight]
+    return FitPlan(kind, w0, centered)
+
+
+_PROPERTY = settings(max_examples=60, deadline=None,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+
+def _row(res, r):
+    out = [res.theta[r], res.se_conv[r], res.se_dc[r]]
+    return out + ([] if res.se_w is None else [res.se_w[r]])
+
+
+@_PROPERTY
+@given(_random_stack(), st.sampled_from(KINDS), st.sampled_from(WEIGHTS), st.booleans())
+def test_property_stacking_invariance(systems, kind, weight, centered):
+    plan = _plan(kind, weight, centered, systems[0].k)
+    stacked = BatchGmm.from_stack(systems).run(plan, compute_j=systems[0].q > systems[0].k)
+    for r, sysm in enumerate(systems):
+        alone = BatchGmm.from_stack([sysm]).run(plan, compute_j=sysm.q > sysm.k)
+        assert stacked.status.reason[r] == alone.status.reason[0]
+        if alone.ok[0]:
+            for a, b in zip(_row(stacked, r), _row(alone, 0)):
+                assert _close(a, b, 1e-12)
+            if alone.j_stat is not None:
+                assert _close(stacked.j_stat[r], alone.j_stat[0], 1e-12)
+
+
+@_PROPERTY
+@given(_random_stack(), st.sampled_from(KINDS), st.sampled_from(WEIGHTS), st.booleans(),
+       st.randoms(use_true_random=False))
+def test_property_row_permutation_invariance(systems, kind, weight, centered, shuffle):
+    sysm = systems[0]
+    plan = _plan(kind, weight, centered, sysm.k)
+    perm = list(range(sysm.n))
+    shuffle.shuffle(perm)
+    res = BatchGmm.from_stack([sysm, sysm.take(np.asarray(perm))]).run(plan)
+    assume(res.ok.all() and res.converged.all())
+    for a, b in zip(_row(res, 0), _row(res, 1)):
+        assert _close(a, b, 1e-6 if kind == "iterated" else 1e-8)
+
+
+@_PROPERTY
+@given(_random_stack(just_identified=True), st.sampled_from(KINDS),
+       st.sampled_from(WEIGHTS), st.booleans())
+def test_property_just_identified_collapse(systems, kind, weight, centered):
+    res = BatchGmm.from_stack(systems).run(_plan(kind, weight, centered, systems[0].k))
+    assume(res.ok.all())
+    for r in range(len(systems)):
+        scale = np.abs(res.V_conv[r]).max()
+        assert np.abs(res.D_hat[r]).max() < 1e-8 * (1 + np.abs(res.theta[r]).max())
+        assert np.allclose(res.V_dc[r], res.V_conv[r], rtol=1e-7, atol=1e-7 * scale)
+        if res.V_w is not None:
+            assert np.allclose(res.V_w[r], res.V_conv[r], rtol=1e-7, atol=1e-7 * scale)

@@ -247,6 +247,15 @@ class TestSimulateCommand:
         assert code == 0
         assert json.loads(out.read_text())["config"]["threads"] == 1
 
+    def test_threads_report_the_pool_size_used(self, tmp_path):
+        # 10 replications make one chunk, so the study runs serially whatever
+        # is requested, and the JSON must say so.
+        out = tmp_path / "s.json"
+        code = main(["simulate", "--design", "iv", "--n", "60", "--reps", "10",
+                     "--seed", "6", "--threads", "64", "--json", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["config"]["threads"] == 1
+
     def test_module_entry_point(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "gmmdc", "simulate", "--design", "iv",

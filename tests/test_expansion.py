@@ -6,9 +6,14 @@ from gmmdc import (
     FitPlan,
     LinearMomentSystem,
     ReplicationStreams,
+    WeightSpec,
+    build_ab_system,
     build_iv_system,
     dgp_iv,
+    dgp_panel_rc,
     fit,
+    moment_stats,
+    omega_derivative,
     neumann_inverse,
     onestep_expansion,
     twostep_expansion,
@@ -129,3 +134,31 @@ class TestExpansions:
             v_dc.append(rep.V_dc[0, 0])
         mc_var = np.var(np.asarray(combos)[:, 0], ddof=1)
         assert mc_var == pytest.approx(np.mean(v_dc), rel=0.10)
+
+
+def test_builder_systems_expand_from_factors(monkeypatch):
+    """The weight deviation comes from the factored contributions: the
+    (n, q, q) tensor is never built, and both predictions equal those of the
+    same system given the tensor in full."""
+    y, X, Z = dgp_iv(400, 1.0, ReplicationStreams(16, 0))
+    iv = build_iv_system(y, X, Z)
+    panel = build_ab_system(dgp_panel_rc(60, 5, 0.2, ReplicationStreams(16, 1)), mode="ar1")
+    theta0 = np.array([0.5])
+    stats = moment_stats(panel, theta0)
+    panel_truth = ExpansionTruth(
+        G=stats.G_n, W=panel.weight_matrix(WeightSpec.data_average()) + 0.1 * np.eye(panel.q),
+        Omega=stats.Omega, dOmega=omega_derivative(panel, theta0, 0)[None],
+        delta=0.3 * np.ones(panel.q), theta0=theta0)
+    cases = [(iv, iv_population_truth(400, 1.0)), (panel, panel_truth)]
+    expansions = (onestep_expansion, twostep_expansion)
+    want = [[e(LinearMomentSystem(h=s.h, G_obs=s.G_obs, W_obs=s.W_obs), t).predicted
+             for e in expansions] for s, t in cases]
+
+    def refuse(self):
+        raise AssertionError("full weight contributions materialized")
+
+    monkeypatch.setattr(LinearMomentSystem, "W_obs", property(refuse))
+    for (sysm, truth), targets in zip(cases, want):
+        for expansion, target in zip(expansions, targets):
+            got = expansion(sysm, truth).predicted
+            assert np.abs(got - target).max() <= 1e-12 * np.abs(target).max()

@@ -7,6 +7,7 @@ import pytest
 from gmmdc import (
     FitPlan,
     IvLocal,
+    LinearMomentSystem,
     PanelLagMiss,
     PanelRandomCoef,
     ReplicationStreams,
@@ -166,6 +167,25 @@ class TestRunStudy:
         it = summary.estimators["iter"]
         assert it.nonconverged == cfg.replications - it.failures > 0
         assert summary.estimators["two"].nonconverged == 0
+
+    def test_failures_are_counted_by_reason(self, monkeypatch):
+        draw = montecarlo.draw_system
+
+        def draw_some_singular(design, streams, fixed_misspec=False):
+            sysm = draw(design, streams, fixed_misspec)
+            if streams.replication not in (3, 7):
+                return sysm
+            return LinearMomentSystem(h=np.zeros_like(sysm.h), G_obs=np.zeros_like(sysm.G_obs),
+                                      Z_obs=np.zeros_like(sysm.Z_obs), H=sysm.H)
+
+        monkeypatch.setattr(montecarlo, "draw_system", draw_some_singular)
+        cfg = StudyConfig(design=IvLocal(n=60, alpha0=0.0), replications=12,
+                          estimators=("one", "two"), seed=4)
+        summary = run_study(cfg)
+        assert summary.workers == 1
+        for block in summary.estimators.values():
+            assert block.failures == 2 == sum(block.failure_reasons.values())
+            assert block.failure_reasons["preliminary-weight-not-pd"] == 2
 
     def test_panel_designs_run_end_to_end(self):
         for design in (PanelRandomCoef(N=40, T=4, alpha0=0.1),

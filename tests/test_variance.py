@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import gmmdc.variance
 from gmmdc import (
     FitPlan,
     IllConditionedCorrectionError,
@@ -20,6 +19,7 @@ from gmmdc import (
     omega_derivative,
     variance_report,
 )
+from gmmdc._batch import BatchGmm
 from conftest import random_system
 from reference_formulas import iv_closed_forms, panel_closed_forms
 
@@ -245,7 +245,8 @@ class TestVarianceReport:
         y, X, Z = dgp_iv(50, 0.0, ReplicationStreams(24, 5))
         sysm = build_iv_system(y, X, Z)
         f = fit(sysm, FitPlan.iterated())
-        monkeypatch.setattr(gmmdc.variance, "d_hat",
-                            lambda *args, **kwargs: np.eye(sysm.k))
-        with pytest.raises(IllConditionedCorrectionError):
+        # D_hat = I makes (I - D_hat) exactly singular in the kernel's iterated branch.
+        monkeypatch.setattr(BatchGmm, "_d_hat",
+                            lambda self, *args: np.broadcast_to(np.eye(self.k), (self.R,) + (self.k,) * 2))
+        with pytest.raises(IllConditionedCorrectionError, match="condition number"):
             variance_report(sysm, f)
