@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 from typing import TYPE_CHECKING, List, NamedTuple, Optional
 
 import numpy as np
@@ -175,12 +176,12 @@ def _omega(g: np.ndarray, centered: bool) -> np.ndarray:
     n = g.shape[1]
     if centered:
         g = g - g.mean(axis=1, keepdims=True)
-    return _sym(np.einsum("rnq,rnp->rqp", g, g) / n)
+    return _sym(np.swapaxes(g, 1, 2) @ g / n)
 
 
 def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-replication cross moment of two (R, n, k) stacks of contributions."""
-    return np.einsum("rnk,rnl->rkl", a, b) / a.shape[1]
+    return np.swapaxes(a, 1, 2) @ b / a.shape[1]
 
 
 def _sandwich(bread: np.ndarray, meat: np.ndarray) -> np.ndarray:
@@ -232,13 +233,16 @@ class BatchGmm:
             return cls(h, G, W_obs=np.stack([s.W_obs for s in systems]))
         return cls(h, G)
 
-    def _data_average_obs(self):
-        """Data-average contributions: factors, or the full (R, n, q, q) stack."""
+    @cached_property
+    def _data_average(self):
+        """The data-average weight (R, q, q) and its contributions (factors, or
+        the full (R, n, q, q) stack), formed once per stack."""
         if self.Z_obs is not None:
-            return WeightFactors(self.Z_obs, self.H)
+            w = WeightFactors(self.Z_obs, self.H)
+            return w.mean(), w
         if self.W_obs is None:
             raise ValueError("systems have no per-observation weight contributions")
-        return self.W_obs
+        return _sym(self.W_obs.mean(axis=1)), self.W_obs
 
     def g_obs(self, theta: np.ndarray) -> np.ndarray:
         """Per-observation moments for per-replication parameters (R, k)."""
@@ -257,8 +261,7 @@ class BatchGmm:
         if kind is WeightKind.IDENTITY:
             return np.broadcast_to(np.eye(self.q), (self.R, self.q, self.q)), None
         if kind is WeightKind.DATA_AVERAGE:
-            w = self._data_average_obs()
-            return (w.mean() if isinstance(w, WeightFactors) else _sym(w.mean(axis=1))), w
+            return self._data_average
         g = self.g_obs(np.broadcast_to(plan.w0.theta, (self.R, self.k)))
         if kind is WeightKind.EFFICIENT_CENTERED:
             g = g - g.mean(axis=1, keepdims=True)
@@ -285,39 +288,35 @@ class BatchGmm:
         live = np.ones(self.R, dtype=bool) if live is None else live
         passed = status.ok & self._check_pd(weight, status, code, live)
         aG = _masked_solve(weight, self.G_n, passed)
-        M = _sym(np.einsum("rqk,rql->rkl", self.G_n, aG))
+        M = _sym(np.swapaxes(self.G_n, 1, 2) @ aG)
         cond = _cond(np.linalg.eigvalsh(M))
         status.flag(live & passed & ~(cond <= COND_LIMIT), Reason.SINGULAR_NORMAL_MATRIX, cond)
         passed &= cond <= COND_LIMIT
         M_safe = np.where(passed[:, None, None], M, np.eye(self.k)[None])
-        rhs = np.einsum("rqk,rq->rk", aG, self.h_n)
-        theta = -np.linalg.solve(M_safe, rhs[..., None])[..., 0]
+        rhs = np.swapaxes(aG, 1, 2) @ self.h_n[..., None]
+        theta = -np.linalg.solve(M_safe, rhs)[..., 0]
         M_inv = np.linalg.inv(M_safe)
         return _Solve(theta, aG, M, M_inv, passed)
 
     def _m_contrib(self, g, aG, b, w_obs):
         """Influence contributions (R, n, k); ``w_obs`` as for contribution_times."""
-        m = np.einsum("rnq,rqk->rnk", g, aG)
-        m = m + np.einsum("rnqk,rq->rnk", self.G, b)
+        m = g @ aG + np.einsum("rnqk,rq->rnk", self.G, b)
         if w_obs is not None:
-            m = m - np.einsum("rnq,rqk->rnk", contribution_times(w_obs, b), aG)
+            m = m - contribution_times(w_obs, b) @ aG
         return m
 
     def _d_hat(self, g_weight, aG, u, M_inv, centered):
-        """Weight-estimation correction (R, k, k) with a loop over the k columns."""
-        g = g_weight
+        """Weight-estimation correction (R, k, k): column j is M^-1 aG' (dOmega/dtheta_j) u,
+        with the cross moments of g and all k columns of G formed by one GEMM."""
+        R, n, q, k = self.G.shape
+        g, G = g_weight, self.G
         if centered:
             g = g - g.mean(axis=1, keepdims=True)
-        D = np.empty((self.R, self.k, self.k))
-        for j in range(self.k):
-            gj = self.G[:, :, :, j]
-            if centered:
-                gj = gj - self.G_n[:, None, :, j]
-            ups = np.einsum("rnq,rnp->rqp", g, gj) / self.n
-            domega = ups + np.swapaxes(ups, 1, 2)
-            v = np.einsum("rqk,rq->rk", aG, np.einsum("rqp,rp->rq", domega, u))
-            D[:, :, j] = np.einsum("rkl,rl->rk", M_inv, v)
-        return D
+            G = G - self.G_n[:, None]
+        ups = (np.swapaxes(g, 1, 2) @ G.reshape(R, n, q * k) / n).reshape(R, q, q, k)
+        domega = ups + np.swapaxes(ups, 1, 2)   # symmetric, so u' dOmega_j = (dOmega_j u)'
+        domega_u = (u[:, None, :] @ domega.reshape(R, q, q * k)).reshape(R, q, k)
+        return M_inv @ np.swapaxes(aG, 1, 2) @ domega_u
 
     # ------------------------------------------------------------------
     # fit stage
@@ -411,7 +410,7 @@ class BatchGmm:
 
         if plan.kind != "iterated":
             g = g1 = fit.g_w                   # g_i(theta) too for one-step fits
-            V1_conv = _sandwich(s1.M_inv, np.einsum("rqk,rqp,rpl->rkl", s1.aG, omega, s1.aG))
+            V1_conv = _sandwich(s1.M_inv, np.swapaxes(s1.aG, 1, 2) @ omega @ s1.aG)
             m1 = self._m_contrib(g1, s1.aG, _masked_solve(fit.w0, g1.mean(axis=1), status.ok),
                                  fit.w0_obs)
             Sigma = _gram(m1, m1)
@@ -460,7 +459,7 @@ class BatchGmm:
         if fit.plan.kind == "one-step":     # the other kinds have solved against omega
             self._check_pd(fit.omega, fit.status, Reason.EFFICIENT_WEIGHT_NOT_PD, fit.status.ok)
         g_n = (self.g_obs(fit.theta) if g is None else g).mean(axis=1)
-        return self.n * np.einsum("rq,rq->r", g_n, _masked_solve(fit.omega, g_n, fit.status.ok))
+        return self.n * (g_n * _masked_solve(fit.omega, g_n, fit.status.ok)).sum(axis=1)
 
     def run(self, plan: "FitPlan", compute_j: bool = False) -> BatchResult:
         """Fit ``plan`` on every replication and compute all variance kinds."""
@@ -486,6 +485,6 @@ class BatchGmm:
         :class:`Status`."""
         status = Status(self.R)
         s = self.solve(weight, status)
-        g_eval = self.h_n + np.einsum("rqk,rk->rq", self.G_n, theta_eval)
+        g_eval = self.h_n + (self.G_n @ theta_eval[..., None])[..., 0]
         u = _masked_solve(weight, g_eval, status.ok)
         return self._d_hat(self.g_obs(theta_weight), s.aG, u, s.M_inv, centered), status

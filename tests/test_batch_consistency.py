@@ -28,6 +28,7 @@ from gmmdc import (
     variance_report,
 )
 from gmmdc._batch import BatchGmm, Reason
+from gmmdc.linmoment import WeightFactors
 
 
 def _systems():
@@ -153,6 +154,17 @@ def test_nonconvergence_is_a_nonfatal_reason():
     assert res.iterations[0] == 2
 
 
+def test_data_average_weight_is_formed_once_per_stack(monkeypatch):
+    """A study runs several plans on one stack; they share its data-average weight."""
+    calls = []
+    mean = WeightFactors.mean
+    monkeypatch.setattr(WeightFactors, "mean", lambda self: calls.append(1) or mean(self))
+    batch = BatchGmm.from_stack(_stacks()["panel"])
+    for kind in ("one-step", "two-step", "iterated"):
+        assert batch.run(FitPlan(kind), compute_j=True).ok.all()
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # properties over random systems
 
@@ -234,3 +246,36 @@ def test_property_just_identified_collapse(systems, kind, weight, centered):
         assert np.allclose(res.V_dc[r], res.V_conv[r], rtol=1e-7, atol=1e-7 * scale)
         if res.V_w is not None:
             assert np.allclose(res.V_w[r], res.V_conv[r], rtol=1e-7, atol=1e-7 * scale)
+
+
+@st.composite
+def _iv_data_and_rotation(draw):
+    """IV data with heteroskedastic errors and a nonsingular q x q matrix A
+    with singular values in [0.5, 2]."""
+    q = draw(st.integers(1, 5))
+    k = draw(st.integers(1, min(q, 2)))
+    n = draw(st.integers(q + 10, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Z = rng.standard_normal((n, q))
+    X = Z @ rng.standard_normal((q, k)) + rng.standard_normal((n, k))
+    y = X @ rng.standard_normal(k) + (0.5 + np.abs(Z[:, 0])) * rng.standard_normal(n)
+    Q1, _ = np.linalg.qr(rng.standard_normal((q, q)))
+    Q2, _ = np.linalg.qr(rng.standard_normal((q, q)))
+    return y, X, Z, (Q1 * rng.uniform(0.5, 2.0, q)) @ Q2
+
+
+@_PROPERTY
+@given(_iv_data_and_rotation(), st.sampled_from(KINDS), st.sampled_from(WEIGHTS[1:]),
+       st.booleans())
+def test_property_instrument_rescaling_invariance(data, kind, weight, centered):
+    """Instruments Z A turn g_i into A' g_i and every weight W into A' W A,
+    which leaves the estimate and all three t statistics unchanged. The
+    identity weight does not transform that way and is left out."""
+    y, X, Z, A = data
+    plan = _plan(kind, weight, centered, X.shape[1])
+    res = BatchGmm.from_stack([build_iv_system(y, X, Z), build_iv_system(y, X, Z @ A)]).run(plan)
+    assume(res.ok.all() and res.converged.all())
+    assert _close(res.theta[1], res.theta[0], 1e-8)
+    for se in (res.se_conv, res.se_dc, res.se_w):
+        if se is not None:
+            assert _close(res.theta[1] / se[1], res.theta[0] / se[0], 1e-8)

@@ -1,9 +1,13 @@
 import dataclasses
+import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gmmdc
 from gmmdc import (
     FitPlan,
     IvLocal,
@@ -146,6 +150,29 @@ class TestRunStudy:
             a = dataclasses.asdict(serial.estimators[est])
             b = dataclasses.asdict(parallel.estimators[est])
             assert a == b
+
+    def test_identical_across_blas_thread_counts(self):
+        # The kernel's reductions over observations are BLAS matrix products;
+        # the summary must not depend on how many threads BLAS runs them on.
+        script = (
+            "import dataclasses, json\n"
+            "from gmmdc import IvLocal, StudyConfig, run_study\n"
+            "cfg = StudyConfig(design=IvLocal(n=50, alpha0=0.2), replications=64,\n"
+            "                  estimators=('one', 'two', 'iter'), seed=9)\n"
+            "blocks = run_study(cfg, threads=1).estimators\n"
+            "print(json.dumps({e: dataclasses.asdict(b) for e, b in blocks.items()},\n"
+            "                 sort_keys=True))\n")
+        src = os.path.dirname(os.path.dirname(gmmdc.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert set(json.loads(outputs[0])) == {"one", "two", "iter"}
+        assert outputs[0] == outputs[1]
 
     def test_worker_count_is_bounded(self):
         cpus = os.cpu_count() or 1

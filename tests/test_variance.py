@@ -163,6 +163,29 @@ class TestVarianceReport:
             assert np.allclose(rep.se_w, ref["se_w"], rtol=1e-10)
 
     @pytest.mark.parametrize("kind", KINDS)
+    def test_iv_two_regressors_match_closed_forms(self, kind):
+        """k = 2: every k x k block and each column of D_hat against the oracle."""
+        rng = np.random.default_rng(31)
+        n = 120
+        Z = rng.standard_normal((n, 5))
+        v = rng.standard_normal((n, 2))
+        X = Z @ np.array([[0.6, 0.1], [0.3, -0.4], [0.2, 0.5], [-0.3, 0.2], [0.1, 0.3]]) + v
+        u = (0.5 + np.abs(Z[:, 0] - Z[:, 2])) * rng.standard_normal(n) + 0.5 * v[:, 0]
+        y = X @ np.array([1.0, -0.5]) + u
+        sysm = build_iv_system(y, X, Z)
+        ref = iv_closed_forms(y, X, Z, kind)
+        f = fit(sysm, FitPlan(kind))
+        rep = variance_report(sysm, f)
+        pairs = [(f.theta, "theta"), (rep.se_conv, "se_conv"), (rep.se_dc, "se_dc"),
+                 (rep.D_hat, "D")]
+        if kind != "one-step":
+            pairs.append((rep.se_w, "se_w"))
+        for got, key in pairs:
+            want = ref[key]
+            assert got.shape == want.shape
+            assert np.allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+
+    @pytest.mark.parametrize("kind", KINDS)
     def test_just_identified_collapse(self, rng, kind):
         y = rng.standard_normal(60)
         X = rng.standard_normal((60, 2))
