@@ -198,15 +198,13 @@ class BatchGmm:
     """A stack of R linear moment systems sharing shapes (n, q, k).
 
     Data-average weight contributions are held as factors ``Z_obs``
-    (R, n, e, q) with a shared core ``H``, as the builders make them, or in
-    full as ``W_obs`` (R, n, q, q) for systems supplied that way.
+    (R, n, e, q) with a shared core ``H``, the one form systems store.
     """
 
-    def __init__(self, h: np.ndarray, G: np.ndarray, W_obs: Optional[np.ndarray] = None,
-                 Z_obs: Optional[np.ndarray] = None, H: Optional[np.ndarray] = None):
+    def __init__(self, h: np.ndarray, G: np.ndarray, Z_obs: Optional[np.ndarray] = None,
+                 H: Optional[np.ndarray] = None):
         self.h = h
         self.G = G
-        self.W_obs = W_obs
         self.Z_obs = Z_obs
         self.H = H
         self.R, self.n, self.q = h.shape
@@ -217,32 +215,28 @@ class BatchGmm:
     @classmethod
     def from_system(cls, sys: LinearMomentSystem, idx: np.ndarray) -> "BatchGmm":
         """Resampled copies of one system; ``idx`` is (R, n) row indices."""
-        if sys.Z_obs is not None:
-            return cls(sys.h[idx], sys.G_obs[idx], Z_obs=sys.Z_obs[idx], H=sys.H)
-        W = sys.W_obs
-        return cls(sys.h[idx], sys.G_obs[idx], W_obs=None if W is None else W[idx])
+        Z_obs = None if sys.Z_obs is None else sys.Z_obs[idx]
+        return cls(sys.h[idx], sys.G_obs[idx], Z_obs, sys.H)
 
     @classmethod
     def from_stack(cls, systems) -> "BatchGmm":
+        """The stack of ``systems``, whose weight factors (if any) must share ``H``."""
         h = np.stack([s.h for s in systems])
         G = np.stack([s.G_obs for s in systems])
         first = systems[0]
-        if all(s.Z_obs is not None and np.array_equal(s.H, first.H) for s in systems):
-            return cls(h, G, Z_obs=np.stack([s.Z_obs for s in systems]), H=first.H)
-        if first.W_obs is not None:
-            return cls(h, G, W_obs=np.stack([s.W_obs for s in systems]))
-        return cls(h, G)
+        if all(s.Z_obs is None for s in systems):
+            return cls(h, G)
+        if not all(s.Z_obs is not None and np.array_equal(s.H, first.H) for s in systems):
+            raise ValueError("stacked systems must all have weight factors with the same core H")
+        return cls(h, G, np.stack([s.Z_obs for s in systems]), first.H)
 
     @cached_property
     def _data_average(self):
-        """The data-average weight (R, q, q) and its contributions (factors, or
-        the full (R, n, q, q) stack), formed once per stack."""
-        if self.Z_obs is not None:
-            w = WeightFactors(self.Z_obs, self.H)
-            return w.mean(), w
-        if self.W_obs is None:
+        """The data-average weight (R, q, q) and its factors, formed once per stack."""
+        if self.Z_obs is None:
             raise ValueError("systems have no per-observation weight contributions")
-        return _sym(self.W_obs.mean(axis=1)), self.W_obs
+        w = WeightFactors(self.Z_obs, self.H)
+        return w.mean(), w
 
     def g_obs(self, theta: np.ndarray) -> np.ndarray:
         """Per-observation moments for per-replication parameters (R, k)."""

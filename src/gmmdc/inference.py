@@ -1,9 +1,9 @@
 """Tests and confidence intervals: t statistics, the J test, and the
 misspecification-robust percentile-t bootstrap.
 
-The bootstrap resamples observation units (cluster blocks for panels) with
-replacement, studentizes by the doubly corrected standard error, and needs no
-moment recentering; critical values are symmetric quantiles of |t*|.
+The bootstrap resamples observation units (individuals for panel systems)
+with replacement, studentizes by the doubly corrected standard error, and
+needs no moment recentering; critical values are symmetric quantiles of |t*|.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ class BootstrapResult:
     """Percentile-t bootstrap output.
 
     ``t_star`` holds the studentized statistics of the successful resamples;
-    ``failures`` counts degenerate resamples that were skipped. When more
-    than 5% of resamples fail, ``reliability_warning`` is set.
+    ``failures`` counts degenerate resamples that were skipped. When at least
+    5% of resamples fail, ``reliability_warning`` is set.
     """
 
     B: int
@@ -139,10 +139,10 @@ def mr_bootstrap(sys: LinearMomentSystem, plan: FitPlan, coef: int, B: int,
     """
     if B < 99:
         raise ValueError("B must be at least 99")
-    units = _resampling_units(sys)
-    n_units = len(units)
-    if n_units < 10:
+    if sys.n < 10:
         raise ValueError("bootstrap needs at least 10 resampling units")
+    if not 0 <= coef < sys.k:
+        raise IndexError(f"coefficient index {coef} out of range")
 
     base_fit = fit(sys, plan)
     base_report = variance_report(sys, base_fit)
@@ -152,34 +152,13 @@ def mr_bootstrap(sys: LinearMomentSystem, plan: FitPlan, coef: int, B: int,
     theta0 = float(base_fit.theta[coef])
     t_original = (theta0 - null_value) / se0
 
-    draws = np.empty((B, n_units), dtype=np.intp)
+    draws = np.empty((B, sys.n), dtype=np.intp)
     for b in range(B):
-        draws[b] = bootstrap_rng(seed, b).integers(0, n_units, size=n_units)
-
-    singleton = all(len(u) == 1 for u in units)
-    if singleton:
-        rows = np.asarray([u[0] for u in units], dtype=np.intp)
-        batch = BatchGmm.from_system(sys, rows[draws])
-        result = batch.run(plan)
-        ok = result.ok & np.isfinite(result.se_dc[:, coef]) & (result.se_dc[:, coef] > 0)
-        t_star = (result.theta[ok, coef] - theta0) / result.se_dc[ok, coef]
-        failures = int(B - ok.sum())
-    else:
-        t_list = []
-        failures = 0
-        for b in range(B):
-            rows = np.concatenate([units[u] for u in draws[b]])
-            resys = sys.take(rows)
-            try:
-                refit = fit(resys, plan)
-                rereport = variance_report(resys, refit)
-                se_b = float(rereport.se_dc[coef])
-                if se_b <= 0.0 or not math.isfinite(se_b):
-                    raise DegenerateVarianceError("zero bootstrap standard error")
-                t_list.append((float(refit.theta[coef]) - theta0) / se_b)
-            except GmmError:
-                failures += 1
-        t_star = np.asarray(t_list)
+        draws[b] = bootstrap_rng(seed, b).integers(0, sys.n, size=sys.n)
+    result = BatchGmm.from_system(sys, draws).run(plan)
+    ok = result.ok & np.isfinite(result.se_dc[:, coef]) & (result.se_dc[:, coef] > 0)
+    t_star = (result.theta[ok, coef] - theta0) / result.se_dc[ok, coef]
+    failures = int(B - ok.sum())
 
     if t_star.size == 0:
         raise GmmError("all bootstrap resamples were degenerate")
@@ -193,13 +172,3 @@ def mr_bootstrap(sys: LinearMomentSystem, plan: FitPlan, coef: int, B: int,
         t_original=t_original,
         reliability_warning=failures / B >= 0.05,
     )
-
-
-def _resampling_units(sys: LinearMomentSystem):
-    """Row-index groups forming the exchangeable resampling units."""
-    if sys.cluster_id is None:
-        return [np.asarray([i]) for i in range(sys.n)]
-    order = {}
-    for i, label in enumerate(sys.cluster_id):
-        order.setdefault(label, []).append(i)
-    return [np.asarray(rows, dtype=np.intp) for rows in order.values()]

@@ -101,23 +101,34 @@ class WeightFactors(NamedTuple):
         return np.einsum("...neq,...ne->...nq", self.Z, Zb @ self.H.T)
 
 
+def full_factors(W: np.ndarray) -> WeightFactors:
+    """Exact factors of full contributions W_i, shape (..., n, q, q).
+
+    Z_i = [I; W_i] (2q x q) and H = [[0, I/2], [I/2, 0]], so Z_i' H Z_i =
+    (W_i + W_i')/2, which is W_i itself for a symmetric slice: the halving is
+    exact in binary and every other term is an exact zero.
+    """
+    W = np.asarray(W, dtype=float)
+    q = W.shape[-1]
+    Z = np.concatenate([np.broadcast_to(np.eye(q), W.shape), W], axis=-2)
+    half, zero = 0.5 * np.eye(q), np.zeros((q, q))
+    return WeightFactors(Z, np.block([[zero, half], [half, zero]]))
+
+
 def contribution_times(weight_obs, b: np.ndarray) -> np.ndarray:
     """Xi_i b for every observation i, shape (..., n, q).
 
     ``weight_obs`` holds the per-observation contributions Xi_i of a weight in
-    one of three forms: :class:`WeightFactors`; rank-one factors f_i with
-    Xi_i = f_i f_i', shape (..., n, q); or full matrices, shape (..., n, q, q).
-    ``b`` has shape (..., q) with the same leading axes.
+    one of two forms: :class:`WeightFactors`, or rank-one factors f_i with
+    Xi_i = f_i f_i', shape (..., n, q). ``b`` has shape (..., q) with the same
+    leading axes.
     """
     if isinstance(weight_obs, WeightFactors):
         return weight_obs.times(b)
     w = np.asarray(weight_obs, dtype=float)
-    lead = b.ndim - 1
-    if w.ndim == lead + 2:              # f_i (f_i' b)
-        return w * (w @ b[..., None])
-    if w.ndim == lead + 3:
-        return (w @ b[..., None, :, None])[..., 0]
-    raise ValueError("weight_obs must be (n, q) factors or (n, q, q) matrices")
+    if w.ndim != b.ndim + 1:
+        raise ValueError("weight_obs must be WeightFactors or (n, q) rank-one factors")
+    return w * (w @ b[..., None])          # f_i (f_i' b)
 
 
 class LinearMomentSystem:
@@ -140,15 +151,17 @@ class LinearMomentSystem:
         and H the 2/-1 band. Given together; ``H`` must be exactly symmetric.
     W_obs : ndarray, shape (n, q, q), optional
         The contributions in full, as an alternative to ``Z_obs`` and ``H``.
-        A supplied tensor must have symmetric slices. On a factored system,
-        reading ``W_obs`` builds Z_i' H Z_i on demand on every access;
-        :meth:`weight_matrix` and :meth:`weight_obs` never materialize it.
-    cluster_id : ndarray, shape (n,), optional
-        Resampling-unit labels for the bootstrap. Panel builders label each
-        moment block with its individual index.
+        A supplied tensor must have symmetric slices; it is stored as its
+        exact factors (:func:`full_factors`, e = 2q). Reading ``W_obs``
+        builds Z_i' H Z_i on demand on every access; :meth:`weight_matrix`
+        and :meth:`weight_obs` never materialize it.
+
+    Clustered data enter as one row per cluster: sum each cluster's moment
+    rows into one block before building the system, as the panel builder
+    does per individual.
     """
 
-    def __init__(self, h, G_obs, W_obs=None, cluster_id=None, Z_obs=None, H=None):
+    def __init__(self, h, G_obs, W_obs=None, Z_obs=None, H=None):
         h = np.asarray(h, dtype=float)
         G = np.asarray(G_obs, dtype=float)
         if h.ndim != 2:
@@ -163,9 +176,18 @@ class LinearMomentSystem:
             raise ValueError(f"need n > q for nonsingular sample moments, got n={n}, q={q}")
         if (Z_obs is None) != (H is None):
             raise ValueError("Z_obs and H must be given together")
-        if Z_obs is not None:
-            if W_obs is not None:
+        if W_obs is not None:
+            if Z_obs is not None:
                 raise ValueError("give W_obs or its factors Z_obs and H, not both")
+            W_obs = np.asarray(W_obs, dtype=float)
+            if W_obs.shape != (n, q, q):
+                raise ValueError("W_obs must be an (n, q, q) array")
+            if not np.all(np.isfinite(W_obs)):     # its factors would turn inf into 0 * inf
+                raise ValueError("W_obs has missing or non-finite entries")
+            if not np.allclose(W_obs, np.swapaxes(W_obs, 1, 2), rtol=1e-10, atol=1e-12):
+                raise ValueError("every W(X_i) must be symmetric")
+            Z_obs, H = full_factors(W_obs)
+        elif Z_obs is not None:
             Z_obs = np.asarray(Z_obs, dtype=float)
             H = np.asarray(H, dtype=float)
             if Z_obs.ndim != 3 or Z_obs.shape[0] != n or Z_obs.shape[2] != q:
@@ -174,18 +196,7 @@ class LinearMomentSystem:
                 raise ValueError("H must be an (e, e) array matching Z_obs")
             if not np.array_equal(H, H.T):
                 raise ValueError("H must be symmetric")
-        if W_obs is not None:
-            W_obs = np.asarray(W_obs, dtype=float)
-            if W_obs.shape != (n, q, q):
-                raise ValueError("W_obs must be an (n, q, q) array")
-            if not np.allclose(W_obs, np.swapaxes(W_obs, 1, 2), rtol=1e-10, atol=1e-12):
-                raise ValueError("every W(X_i) must be symmetric")
-        if cluster_id is not None:
-            cluster_id = np.asarray(cluster_id)
-            if cluster_id.shape != (n,):
-                raise ValueError("cluster_id must have one label per observation")
-        vars(self).update(h=h, G_obs=G, Z_obs=Z_obs, H=H, cluster_id=cluster_id,
-                          _W=W_obs)
+        vars(self).update(h=h, G_obs=G, Z_obs=Z_obs, H=H)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -193,9 +204,9 @@ class LinearMomentSystem:
     @property
     def W_obs(self) -> Optional[np.ndarray]:
         """Per-observation weight contributions in full, shape (n, q, q), or None."""
-        if self.Z_obs is not None:
-            return np.swapaxes(self.Z_obs, 1, 2) @ (self.H @ self.Z_obs)
-        return self._W
+        if self.Z_obs is None:
+            return None
+        return np.swapaxes(self.Z_obs, 1, 2) @ (self.H @ self.Z_obs)
 
     @property
     def n(self) -> int:
@@ -209,14 +220,6 @@ class LinearMomentSystem:
     def k(self) -> int:
         return self.G_obs.shape[2]
 
-    def take(self, rows) -> "LinearMomentSystem":
-        """The system of the observation units ``rows`` (repeats allowed)."""
-        if self.Z_obs is not None:
-            return LinearMomentSystem(h=self.h[rows], G_obs=self.G_obs[rows],
-                                      Z_obs=self.Z_obs[rows], H=self.H)
-        return LinearMomentSystem(h=self.h[rows], G_obs=self.G_obs[rows],
-                                  W_obs=None if self._W is None else self._W[rows])
-
     def g_obs(self, theta: np.ndarray) -> np.ndarray:
         """Per-observation moments g_i(theta) = h_i + G_i theta, shape (n, q)."""
         theta = _check_theta(theta, self.k)
@@ -227,8 +230,7 @@ class LinearMomentSystem:
         if spec.kind is WeightKind.IDENTITY:
             return np.eye(self.q)
         if spec.kind is WeightKind.DATA_AVERAGE:
-            w = self.weight_obs(spec)
-            return w.mean() if isinstance(w, WeightFactors) else w.mean(axis=0)
+            return self.weight_obs(spec).mean()
         stats = moment_stats(self, spec.theta)
         if spec.kind is WeightKind.EFFICIENT:
             return stats.Omega
@@ -240,18 +242,15 @@ class LinearMomentSystem:
         Returns ``None`` for the identity weight (the third term of the
         influence contributions drops), an (n, q) array of rank-one factors
         for the efficient kinds (Xi_i = f_i f_i'), and for the data-average
-        weight either :class:`WeightFactors` (``Z_obs``, ``H``) or the
-        supplied (n, q, q) ``W_obs``. :func:`contribution_times` applies any
-        of these forms.
+        weight :class:`WeightFactors` (``Z_obs``, ``H``).
+        :func:`contribution_times` applies either form.
         """
         if spec.kind is WeightKind.IDENTITY:
             return None
         if spec.kind is WeightKind.DATA_AVERAGE:
-            if self.Z_obs is not None:
-                return WeightFactors(self.Z_obs, self.H)
-            if self._W is None:
+            if self.Z_obs is None:
                 raise ValueError("system has no per-observation weight contributions")
-            return self._W
+            return WeightFactors(self.Z_obs, self.H)
         g = self.g_obs(spec.theta)
         if spec.kind is WeightKind.EFFICIENT_CENTERED:
             g = g - g.mean(axis=0)
@@ -380,7 +379,8 @@ def build_ab_system(panel: PanelDataset, mode: str = "predetermined") -> LinearM
     q = (T-1)(T-2)/2.
 
     Each individual contributes one moment block Z_i' dy_i, so the returned
-    system has n = N rows; ``cluster_id`` is the individual index. The weight
+    system has n = N rows and the individual is the unit of standard errors
+    and of bootstrap resampling. The weight
     contributions Z_i' H Z_i are stored as their factors: ``Z_obs`` holds the
     (T-1) x q instrument blocks Z_i (T-2 rows in ``"ar1"`` mode) and ``H`` is
     the usual 2/-1 band matrix.
@@ -420,8 +420,7 @@ def _build_diff_gmm(y: np.ndarray, x: np.ndarray) -> LinearMomentSystem:
 
     h = np.einsum("net,ne->nt", Zmat, dy)
     G_obs = -np.einsum("net,ne->nt", Zmat, dx)[:, :, None]
-    return LinearMomentSystem(h=h, G_obs=G_obs, Z_obs=Zmat, H=differencing_weight(e),
-                              cluster_id=np.arange(N))
+    return LinearMomentSystem(h=h, G_obs=G_obs, Z_obs=Zmat, H=differencing_weight(e))
 
 
 def moment_stats(sys: LinearMomentSystem, theta: np.ndarray) -> MomentStats:

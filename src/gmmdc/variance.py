@@ -18,7 +18,7 @@ import numpy as np
 
 from ._batch import BatchGmm
 from .estimate import GmmFit
-from .linmoment import LinearMomentSystem, WeightFactors
+from .linmoment import LinearMomentSystem, WeightFactors, full_factors
 
 
 @dataclass(frozen=True)
@@ -59,12 +59,14 @@ class VarianceReport:
 
 
 def _lift(weight_obs):
-    """Per-observation contributions of one system, with a leading R = 1 axis."""
+    """Per-observation contributions of one system, with a leading R = 1 axis;
+    full (n, q, q) contributions become their exact factors."""
     if weight_obs is None:
         return None
     if isinstance(weight_obs, WeightFactors):
         return WeightFactors(weight_obs.Z[None], weight_obs.H)
-    return np.asarray(weight_obs, dtype=float)[None]
+    w = np.asarray(weight_obs, dtype=float)[None]
+    return full_factors(w) if w.ndim == 4 else w
 
 
 def m_contributions(sys: LinearMomentSystem, theta: np.ndarray, weight: np.ndarray,
@@ -81,7 +83,8 @@ def m_contributions(sys: LinearMomentSystem, theta: np.ndarray, weight: np.ndarr
     drops; an (n, q) array gives rank-one contributions f_i f_i' (efficient
     weights); :class:`~gmmdc.linmoment.WeightFactors` gives data-average
     contributions Z_i' H Z_i, applied as Z_i' H (Z_i b) without forming them;
-    an (n, q, q) array gives them in full.
+    an (n, q, q) array gives them in full and is applied through its exact
+    factors (:func:`~gmmdc.linmoment.full_factors`).
 
     Returns an (n, k) array whose column means vanish at the fitted estimate
     by the first-order condition.

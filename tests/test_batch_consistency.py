@@ -119,7 +119,6 @@ def test_builder_systems_never_materialize_full_contributions(monkeypatch):
     for sysm in systems:
         idx = np.random.default_rng(0).integers(0, sysm.n, size=(3, sysm.n))
         for batch in (BatchGmm.from_stack([sysm, sysm]), BatchGmm.from_system(sysm, idx)):
-            assert batch.W_obs is None
             shapes = [a.shape for a in vars(batch).values() if isinstance(a, np.ndarray)]
             assert (batch.R, batch.n, batch.q, batch.q) not in shapes
             for plan in plans:
@@ -143,6 +142,14 @@ def test_supplied_tensor_matches_factors(kind):
         assert np.allclose(a.se_dc, b.se_dc, rtol=1e-10)
         rep = variance_report(full, fit(full, plan))
         assert np.allclose(b.se_dc[0], rep.se_dc, rtol=1e-9)
+
+
+def test_from_stack_rejects_different_weight_cores():
+    y, X, Z = dgp_iv(40, 0.0, ReplicationStreams(57, 1))
+    iv = build_iv_system(y, X, Z)
+    rescaled = LinearMomentSystem(h=iv.h, G_obs=iv.G_obs, Z_obs=iv.Z_obs, H=[[2.0]])
+    with pytest.raises(ValueError, match="same core H"):
+        BatchGmm.from_stack([iv, rescaled])
 
 
 def test_nonconvergence_is_a_nonfatal_reason():
@@ -228,7 +235,9 @@ def test_property_row_permutation_invariance(systems, kind, weight, centered, sh
     plan = _plan(kind, weight, centered, sysm.k)
     perm = list(range(sysm.n))
     shuffle.shuffle(perm)
-    res = BatchGmm.from_stack([sysm, sysm.take(np.asarray(perm))]).run(plan)
+    permuted = LinearMomentSystem(h=sysm.h[perm], G_obs=sysm.G_obs[perm],
+                                  Z_obs=sysm.Z_obs[perm], H=sysm.H)
+    res = BatchGmm.from_stack([sysm, permuted]).run(plan)
     assume(res.ok.all() and res.converged.all())
     for a, b in zip(_row(res, 0), _row(res, 1)):
         assert _close(a, b, 1e-6 if kind == "iterated" else 1e-8)

@@ -19,7 +19,7 @@ from gmmdc import (
     t_test,
     variance_report,
 )
-from gmmdc.inference import bootstrap_rng, _resampling_units
+from gmmdc.inference import bootstrap_rng
 
 
 def _iv_fit(seed=0, n=60, alpha0=0.3, kind="two-step"):
@@ -163,9 +163,17 @@ class TestMrBootstrap:
     def test_panel_resamples_individuals(self):
         panel = dgp_panel_rc(30, 4, 0.0, ReplicationStreams(9, 3))
         sysm = build_ab_system(panel, mode="ar1")
-        res = mr_bootstrap(sysm, FitPlan.two_step(), 0, 99, seed=5, null_value=0.5)
-        assert res.B == 99
-        assert len(_resampling_units(sysm)) == 30
+        plan = FitPlan.two_step()
+        res = mr_bootstrap(sysm, plan, 0, 99, seed=5, null_value=0.5)
+        assert res.B == 99 and res.failures == 0
+        theta0 = float(fit(sysm, plan).theta[0])
+        for b in (0, 49, 98):
+            idx = bootstrap_rng(5, b).integers(0, 30, 30)    # 30 individuals
+            resys = LinearMomentSystem(h=sysm.h[idx], G_obs=sysm.G_obs[idx],
+                                       Z_obs=sysm.Z_obs[idx], H=sysm.H)
+            refit = fit(resys, plan)
+            t_b = (float(refit.theta[0]) - theta0) / float(variance_report(resys, refit).se_dc[0])
+            assert res.t_star[b] == pytest.approx(t_b, rel=1e-9, abs=1e-11)
 
     def test_input_validation(self):
         y, X, Z = dgp_iv(50, 0.0, ReplicationStreams(9, 4))
@@ -175,6 +183,13 @@ class TestMrBootstrap:
         tiny = build_iv_system(y[:8], X[:8], Z[:8, :2])
         with pytest.raises(ValueError, match="resampling units"):
             mr_bootstrap(tiny, FitPlan.one_step(), 0, 99, seed=1)
+
+    @pytest.mark.parametrize("coef", [-1, 1])
+    def test_coefficient_index_validated(self, coef):
+        y, X, Z = dgp_iv(50, 0.0, ReplicationStreams(9, 4))
+        sysm = build_iv_system(y, X, Z)
+        with pytest.raises(IndexError, match="coefficient index .* out of range"):
+            mr_bootstrap(sysm, FitPlan.one_step(), coef, 99, seed=1)
 
     def test_reliability_flag_off_for_clean_runs(self):
         y, X, Z = dgp_iv(60, 0.0, ReplicationStreams(9, 5))

@@ -125,7 +125,6 @@ class TestBuildAbSystem:
         y = rng.standard_normal((8, 4))
         sysm = build_ab_system(PanelDataset(y=y), mode="ar1")
         assert (sysm.n, sysm.q, sysm.k) == (8, 3, 1)
-        assert np.array_equal(sysm.cluster_id, np.arange(8))
 
     def test_short_panel_rejected(self, rng):
         with pytest.raises(ValueError, match="T >= 3"):
@@ -234,6 +233,11 @@ class TestSystemInvariants:
             LinearMomentSystem(h=rng.standard_normal((10, 2)),
                                G_obs=rng.standard_normal((10, 2, 1)),
                                W_obs=rng.standard_normal((10, 2, 2)))
+        W = np.tile(np.eye(2), (10, 1, 1))
+        W[3, 0, 0] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            LinearMomentSystem(h=rng.standard_normal((10, 2)),
+                               G_obs=rng.standard_normal((10, 2, 1)), W_obs=W)
 
     def test_weight_specs_validate(self):
         with pytest.raises(ValueError):
@@ -289,14 +293,19 @@ class TestFactoredWeightContributions:
         want = m_contributions(sysm, theta, weight, sysm.W_obs)
         assert _rel_dev(got, want) <= 1e-12
 
-    def test_take_keeps_the_storage_form(self, rng):
-        factored = dict(_builder_systems())["predetermined"]
-        rows = rng.integers(0, factored.n, size=factored.n)
-        sub = factored.take(rows)
-        assert np.array_equal(sub.Z_obs, factored.Z_obs[rows])
-        assert np.array_equal(sub.W_obs, factored.W_obs[rows])
-        full = random_system(rng)
-        assert np.array_equal(full.take(rows[:30]).W_obs, full.W_obs[rows[:30]])
+    def test_supplied_tensor_is_stored_as_exact_factors(self, rng):
+        f = rng.standard_normal((40, 4, 4))
+        full_rank = np.einsum("nqj,npj->nqp", f, f) + 2.0 * np.eye(4)   # as random_system
+        y, X, Z = dgp_iv(80, 0.5, ReplicationStreams(61, 0))
+        rank_one = build_iv_system(y, X, Z).W_obs
+        for W in (full_rank, rank_one):
+            n, q, _ = W.shape
+            sysm = LinearMomentSystem(h=rng.standard_normal((n, q)),
+                                      G_obs=rng.standard_normal((n, q, 1)), W_obs=W)
+            assert sysm.Z_obs.shape == (n, 2 * q, q)
+            assert np.array_equal(sysm.W_obs, W)
+            got = sysm.weight_matrix(WeightSpec.data_average())
+            assert _rel_dev(got, W.mean(axis=0)) <= 1e-12
 
     def test_invalid_factors_rejected(self, rng):
         h = rng.standard_normal((10, 2))
