@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import GmmError, JNotDefinedError
 from .estimate import DEFAULT_TOL, FitPlan, fit
-from .inference import j_test, mr_bootstrap, t_test
+from .inference import _percentile_t, _unwrap, j_test, t_test
 from .linmoment import PanelDataset, WeightSpec, build_ab_system, build_iv_system
 from .montecarlo import (
     IvLocal,
@@ -218,6 +218,11 @@ def cmd_estimate(args) -> dict:
             raise DataError(f"--null takes 1 or {sys_.k} values")
         nulls = parts * sys_.k if len(parts) == 1 else parts
 
+    boots = [None] * sys_.k
+    if args.bootstrap:
+        (boots,) = _percentile_t(sys_, args.bootstrap, args.seed, [plan], range(sys_.k), nulls,
+                                 [(fit_result.theta, report.se_dc)])
+
     coefficients = []
     for c, name in enumerate(coef_names):
         test = t_test(fit_result, report, args.se_kind, c, nulls[c])
@@ -235,15 +240,15 @@ def cmd_estimate(args) -> dict:
             "ci_upper": test.ci_upper,
             "bootstrap": None,
         }
-        if args.bootstrap:
-            boot = mr_bootstrap(sys_, plan, c, args.bootstrap, args.seed,
-                                null_value=nulls[c])
+        if boots[c] is not None:
+            boot = _unwrap(boots[c])
             entry["bootstrap"] = {
                 "B": boot.B,
                 "crit_abs": boot.crit_abs,
                 "reject_5pct": boot.reject_5pct,
                 "failures": boot.failures,
                 "t_original": boot.t_original,
+                "failure_reasons": boot.failure_reasons,
             }
         coefficients.append(entry)
 
@@ -410,6 +415,7 @@ def cmd_simulate(args) -> dict:
             "sd_degenerate": s.sd_degenerate,
             "nonconverged": s.nonconverged,
             "failure_reasons": s.failure_reasons,
+            "bootstrap_resample_failures": s.bootstrap_resample_failures,
         }
     return {
         "schema": SCHEMA,

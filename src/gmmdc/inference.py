@@ -9,13 +9,13 @@ needs no moment recentering; critical values are symmetric quantiles of |t*|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Dict, Optional
 
 import numpy as np
 from scipy import stats as spstats
 
-from ._batch import BatchGmm
+from ._batch import FATAL_REASONS, BatchGmm
 from .errors import DegenerateVarianceError, GmmError, JNotDefinedError
 from .estimate import FitPlan, GmmFit, fit
 from .linmoment import LinearMomentSystem
@@ -42,7 +42,9 @@ class BootstrapResult:
     """Percentile-t bootstrap output.
 
     ``t_star`` holds the studentized statistics of the successful resamples;
-    ``failures`` counts degenerate resamples that were skipped. When at least
+    ``failures`` counts degenerate resamples that were skipped, and
+    ``failure_reasons`` splits it by fatal reason label, zeros included, plus
+    ``"degenerate-variance"`` (se_dc not finite and positive). When at least
     5% of resamples fail, ``reliability_warning`` is set.
     """
 
@@ -53,6 +55,7 @@ class BootstrapResult:
     failures: int
     t_original: float
     reliability_warning: bool
+    failure_reasons: Dict[str, int] = field(default_factory=dict)
 
 
 def t_test(fit_result: GmmFit, report: VarianceReport, se_kind: str,
@@ -132,43 +135,74 @@ def mr_bootstrap(sys: LinearMomentSystem, plan: FitPlan, coef: int, B: int,
     doubly corrected standard error. No recentering of the moments is
     applied. The test rejects when the full-sample t statistic against
     ``null_value`` (also dc-studentized) exceeds the symmetric critical
-    value. Degenerate resamples are skipped and counted.
+    value. Degenerate resamples are skipped and counted by reason.
 
     Replication b draws its indices from a stream keyed by (seed, b), so
-    results are reproducible and independent of scheduling.
+    results are reproducible and independent of scheduling. Studies and
+    ``gmmdc estimate`` run all their plans and coefficients on one such set
+    of resamples; this is its one-plan, one-coefficient view.
+    """
+    return _unwrap(_percentile_t(sys, B, seed, [plan], [coef], [null_value])[0][0])
+
+
+def _unwrap(result):
+    """A bootstrap result of :func:`_percentile_t`, or raise the error that ended it."""
+    if isinstance(result, GmmError):
+        raise result
+    return result
+
+
+def _percentile_t(sys: LinearMomentSystem, B: int, seed: int, plans, coefs, nulls, bases=None):
+    """The bootstrap of each plan in ``plans`` and coefficient in ``coefs``
+    (against ``nulls``) on one stack of ``B`` resamples of ``sys``, each plan
+    run on it once.
+
+    ``bases`` gives each plan's full-sample (theta, se_dc); by default it is
+    fitted here. Entry [p][j] is the :class:`BootstrapResult` of ``plans[p]``
+    and ``coefs[j]``, or the :class:`GmmError` that ended it.
     """
     if B < 99:
         raise ValueError("B must be at least 99")
     if sys.n < 10:
         raise ValueError("bootstrap needs at least 10 resampling units")
-    if not 0 <= coef < sys.k:
-        raise IndexError(f"coefficient index {coef} out of range")
+    for coef in coefs:
+        if not 0 <= coef < sys.k:
+            raise IndexError(f"coefficient index {coef} out of range")
+    if bases is None:
+        bases = [(f.theta, variance_report(sys, f).se_dc) for f in (fit(sys, p) for p in plans)]
 
-    base_fit = fit(sys, plan)
-    base_report = variance_report(sys, base_fit)
-    se0 = float(base_report.se_dc[coef])
-    if se0 <= 0.0 or not math.isfinite(se0):
-        raise DegenerateVarianceError("doubly corrected standard error is degenerate")
-    theta0 = float(base_fit.theta[coef])
-    t_original = (theta0 - null_value) / se0
-
-    draws = np.empty((B, sys.n), dtype=np.intp)
-    for b in range(B):
-        draws[b] = bootstrap_rng(seed, b).integers(0, sys.n, size=sys.n)
-    result = BatchGmm.from_system(sys, draws).run(plan)
-    ok = result.ok & np.isfinite(result.se_dc[:, coef]) & (result.se_dc[:, coef] > 0)
-    t_star = (result.theta[ok, coef] - theta0) / result.se_dc[ok, coef]
-    failures = int(B - ok.sum())
-
-    if t_star.size == 0:
-        raise GmmError("all bootstrap resamples were degenerate")
-    crit = critical_value(np.abs(t_star))
-    return BootstrapResult(
-        B=B,
-        t_star=t_star,
-        crit_abs=crit,
-        reject_5pct=abs(t_original) > crit,
-        failures=failures,
-        t_original=t_original,
-        reliability_warning=failures / B >= 0.05,
-    )
+    batch, out = None, []
+    for plan, (theta, se) in zip(plans, bases):
+        row = [None if se[c] > 0.0 and math.isfinite(se[c]) else
+               DegenerateVarianceError("doubly corrected standard error is degenerate")
+               for c in coefs]
+        out.append(row)
+        if None not in row:
+            continue
+        if batch is None:
+            draws = np.array([bootstrap_rng(seed, b).integers(0, sys.n, size=sys.n)
+                              for b in range(B)])
+            batch = BatchGmm.from_system(sys, draws)
+        result = batch.run(plan)
+        reasons = {r.label: int((result.status.reason == r).sum()) for r in FATAL_REASONS}
+        for j, (coef, null_value) in enumerate(zip(coefs, nulls)):
+            if row[j] is not None:
+                continue
+            se_star = result.se_dc[:, coef]
+            usable = np.isfinite(se_star) & (se_star > 0)
+            ok = result.ok & usable
+            if not ok.any():
+                row[j] = GmmError("all bootstrap resamples were degenerate")
+                continue
+            theta0 = float(theta[coef])
+            t_star = (result.theta[ok, coef] - theta0) / se_star[ok]
+            t_original = (theta0 - null_value) / float(se[coef])
+            crit = critical_value(np.abs(t_star))
+            failures = int(B - ok.sum())
+            row[j] = BootstrapResult(
+                B=B, t_star=t_star, crit_abs=crit, reject_5pct=abs(t_original) > crit,
+                failures=failures, t_original=t_original,
+                reliability_warning=failures / B >= 0.05,
+                failure_reasons={**reasons, "degenerate-variance": int((result.ok & ~usable).sum())},
+            )
+    return out

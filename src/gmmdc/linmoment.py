@@ -134,7 +134,8 @@ def contribution_times(weight_obs, b: np.ndarray) -> np.ndarray:
 class LinearMomentSystem:
     """Per-observation moment constants and Jacobians of a linear GMM model.
 
-    Systems are immutable once built.
+    Systems are immutable once built, and every array must be finite (a
+    NaN or inf entry raises ``ValueError``).
 
     Attributes
     ----------
@@ -194,8 +195,11 @@ class LinearMomentSystem:
                 raise ValueError("Z_obs must be an (n, e, q) array")
             if H.shape != (Z_obs.shape[1],) * 2:
                 raise ValueError("H must be an (e, e) array matching Z_obs")
-            if not np.array_equal(H, H.T):
-                raise ValueError("H must be symmetric")
+        for name, a in (("h", h), ("G_obs", G), ("Z_obs", Z_obs), ("H", H)):
+            if a is not None and not np.isfinite(a).all():
+                raise ValueError(f"{name} has missing or non-finite entries")
+        if H is not None and not np.array_equal(H, H.T):
+            raise ValueError("H must be symmetric")
         vars(self).update(h=h, G_obs=G, Z_obs=Z_obs, H=H)
 
     def __setattr__(self, name, value):

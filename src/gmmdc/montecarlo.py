@@ -6,7 +6,8 @@ fixed magnitude; a dynamic panel AR(1) with a random coefficient tied to the
 individual effect; and a dynamic panel whose estimated equation omits a lag.
 Every random variable block of every replication draws from its own
 counter-based stream keyed by (seed, replication, block), so studies are
-reproducible independent of draw order and scheduling.
+reproducible independent of draw order and scheduling; a replication's
+bootstrapped estimators share one set of resamples, keyed the same way.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from scipy import stats as spstats
 from ._batch import FATAL_REASONS, BatchGmm
 from .errors import GmmError
 from .estimate import FitPlan
-from .inference import mr_bootstrap
+from .inference import BootstrapResult, _percentile_t
+from .inference import mr_bootstrap  # noqa: F401  (kept as a name; perfbench's tracer wraps it)
 from .linmoment import (
     LinearMomentSystem,
     PanelDataset,
@@ -234,7 +236,9 @@ class EstimatorSummary:
     ``failure_reasons`` splits that count by :class:`~gmmdc._batch.Reason`
     label (every fatal reason, zeros included); ``nonconverged`` counts
     included ones whose iterated fit stopped at ``max_iter`` without
-    converging.
+    converging. ``bootstrap_failures`` counts included replications whose
+    bootstrap failed, and ``bootstrap_resample_failures`` the resamples
+    skipped inside the bootstraps that succeeded.
     """
 
     mean_theta: float
@@ -252,6 +256,7 @@ class EstimatorSummary:
     sd_degenerate: bool = False
     nonconverged: int = 0
     failure_reasons: Dict[str, int] = field(default_factory=dict)
+    bootstrap_resample_failures: int = 0
 
 
 @dataclass(frozen=True)
@@ -266,7 +271,12 @@ class StudySummary:
 
 
 def _chunk_records(cfg: StudyConfig, lo: int, hi: int) -> Dict[str, Dict[str, np.ndarray]]:
-    """Evaluate replications lo..hi-1 and return per-estimator record arrays."""
+    """Evaluate replications lo..hi-1 and return per-estimator record arrays.
+
+    Each replication that a bootstrapped estimator left ``ok`` gets one
+    resample stack, run once per such estimator and studentized against that
+    estimator's chunk estimate and doubly corrected standard error.
+    """
     reps = range(lo, hi)
     systems = [draw_system(cfg.design, ReplicationStreams(cfg.seed, r), cfg.fixed_misspec)
                for r in reps]
@@ -277,6 +287,7 @@ def _chunk_records(cfg: StudyConfig, lo: int, hi: int) -> Dict[str, Dict[str, np
     j_crit = float(spstats.chi2.ppf(0.95, df)) if df > 0 else np.inf
 
     out: Dict[str, Dict[str, np.ndarray]] = {}
+    results = {}
     for est in cfg.estimators:
         plan = cfg.plan(est)
         res = batch.run(plan, compute_j=df > 0)
@@ -294,22 +305,25 @@ def _chunk_records(cfg: StudyConfig, lo: int, hi: int) -> Dict[str, Dict[str, np
             rec["rej_w"] = np.abs(rec["theta"] - truth) > z_crit * rec["se_w"]
         rec["rej_j"] = (res.j_stat > j_crit) if res.j_stat is not None \
             else np.zeros(len(systems), dtype=bool)
-
-        boot = np.full(len(systems), np.nan)
-        if cfg.wants_bootstrap(est):
-            for i, r in enumerate(reps):
-                if not res.ok[i]:
-                    continue
-                boot_seed = int(np.random.SeedSequence(
-                    (cfg.seed, r, _BOOT_SEED_BLOCK)).generate_state(1)[0])
-                try:
-                    bres = mr_bootstrap(systems[i], plan, coef=0, B=cfg.bootstrap_B,
-                                        seed=boot_seed, null_value=truth)
-                    boot[i] = float(bres.reject_5pct)
-                except GmmError:
-                    pass
-        rec["boot"] = boot
+        rec["boot"] = np.full(len(systems), np.nan)
+        rec["boot_failures"] = np.zeros(len(systems))
         out[est] = rec
+        results[est] = res
+
+    boot_ests = [est for est in cfg.estimators if cfg.wants_bootstrap(est)]
+    for i, r in enumerate(reps):
+        ests = [est for est in boot_ests if results[est].ok[i]]
+        if not ests:
+            continue
+        boot_seed = int(np.random.SeedSequence(
+            (cfg.seed, r, _BOOT_SEED_BLOCK)).generate_state(1)[0])
+        found = _percentile_t(systems[i], cfg.bootstrap_B, boot_seed,
+                              [cfg.plan(est) for est in ests], [0], [truth],
+                              [(results[est].theta[i], results[est].se_dc[i]) for est in ests])
+        for est, (bres,) in zip(ests, found):
+            if isinstance(bres, BootstrapResult):   # a GmmError leaves NaN
+                out[est]["boot"][i] = float(bres.reject_5pct)
+                out[est]["boot_failures"][i] = bres.failures
     return out
 
 
@@ -338,7 +352,7 @@ def run_study(cfg: StudyConfig, threads: Optional[int] = None,
     R = cfg.replications
     bounds = [(lo, min(lo + CHUNK_SIZE, R)) for lo in range(0, R, CHUNK_SIZE)]
     fields = ["ok", "reason", "converged", "theta", "se_conv", "se_dc", "se_w",
-              "rej_conv", "rej_dc", "rej_w", "rej_j", "boot"]
+              "rej_conv", "rej_dc", "rej_w", "rej_j", "boot", "boot_failures"]
     store = {est: {f: np.empty(R) for f in fields} for est in cfg.estimators}
 
     def place(lo: int, hi: int, records):
@@ -394,6 +408,7 @@ def run_study(cfg: StudyConfig, threads: Optional[int] = None,
             reject_boot=float(boot_vals[boot_ok].mean())
             if cfg.wants_bootstrap(est) and boot_ok.any() else None,
             bootstrap_failures=int((~boot_ok).sum()) if cfg.wants_bootstrap(est) else 0,
+            bootstrap_resample_failures=int(rec["boot_failures"][ok][boot_ok].sum()),
             sd_degenerate=sd_degenerate,
             nonconverged=int((~rec["converged"][ok].astype(bool)).sum()),
             failure_reasons={r.label: int((rec["reason"] == r).sum()) for r in FATAL_REASONS},

@@ -33,7 +33,7 @@ COEFFICIENT_KEYS = {
     "name", "estimate", "se_conv", "se_w", "se_dc", "se_kind", "null_value", "t", "p_value",
     "ci_lower", "ci_upper", "bootstrap",
 }
-BOOTSTRAP_KEYS = {"B", "crit_abs", "reject_5pct", "failures", "t_original"}
+BOOTSTRAP_KEYS = {"B", "crit_abs", "reject_5pct", "failures", "t_original", "failure_reasons"}
 J_KEYS = {"statistic", "df", "p_value"}
 VARIANCE_KEYS = {"V_conv", "V_w", "V_dc", "D_hat", "Sigma_n", "C_hat", "se_conv", "se_w", "se_dc"}
 
@@ -44,7 +44,7 @@ DESIGN_KEYS = {"kind", "alpha0", "n"}
 ESTIMATOR_KEYS = {
     "mean_theta", "sd_theta", "mean_se_conv", "mean_se_w", "mean_se_dc", "reject_conv",
     "reject_w", "reject_dc", "reject_boot", "reject_j", "failures", "bootstrap_failures",
-    "sd_degenerate", "nonconverged", "failure_reasons",
+    "sd_degenerate", "nonconverged", "failure_reasons", "bootstrap_resample_failures",
 }
 
 
@@ -67,6 +67,7 @@ def test_estimate_json_keeps_its_keys(tmp_path):
     coef = result["coefficients"][0]
     assert COEFFICIENT_KEYS <= set(coef)
     assert BOOTSTRAP_KEYS <= set(coef["bootstrap"])
+    assert coef["bootstrap"]["failures"] == sum(coef["bootstrap"]["failure_reasons"].values())
     assert J_KEYS <= set(result["j_test"])
     assert VARIANCE_KEYS <= set(result["variance"])
 

@@ -15,9 +15,11 @@ from gmmdc import (
     dgp_panel_lag,
     fit,
     j_test,
+    mr_bootstrap,
     variance_report,
 )
 from gmmdc import montecarlo
+from gmmdc._batch import BatchGmm
 from gmmdc.cli import main
 
 
@@ -125,6 +127,33 @@ class TestEstimateCommand:
                   "--seed", "7", "--json", str(out)])
             outputs.append(out.read_text())
         assert outputs[0] == outputs[1]
+
+    def test_bootstrap_shares_one_stack_across_coefficients(self, tmp_path, monkeypatch):
+        y, X, Z = dgp_iv(80, 0.3, ReplicationStreams(5, 2))
+        X = np.column_stack([X[:, 0], Z[:, 0]])     # an exogenous second regressor
+        path = tmp_path / "d.csv"
+        x_cols, z_cols = write_iv_csv(path, y, X, Z)
+        stacks = []
+        from_system = BatchGmm.from_system.__func__
+
+        def counting_from_system(cls, sysm, idx):
+            stacks.append(idx.shape)
+            return from_system(cls, sysm, idx)
+
+        monkeypatch.setattr(BatchGmm, "from_system", classmethod(counting_from_system))
+        out = tmp_path / "b.json"
+        assert main(["estimate", "iv", "--data", str(path), "--y", "y", "--x", x_cols,
+                     "--z", z_cols, "--bootstrap", "99", "--seed", "3", "--null", "1,0",
+                     "--json", str(out)]) == 0
+        assert stacks == [(99, 80)]
+        result = json.loads(out.read_text())
+        sysm = build_iv_system(y, X, Z)
+        for c, null in enumerate((1.0, 0.0)):
+            boot = mr_bootstrap(sysm, FitPlan.two_step(), c, 99, seed=3, null_value=null)
+            assert result["coefficients"][c]["bootstrap"] == {
+                "B": boot.B, "crit_abs": boot.crit_abs, "reject_5pct": boot.reject_5pct,
+                "failures": boot.failures, "t_original": boot.t_original,
+                "failure_reasons": boot.failure_reasons}
 
     def test_panel_modes(self, tmp_path):
         panel = dgp_panel_lag(30, 4, 0.0, ReplicationStreams(2, 2))

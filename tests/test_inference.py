@@ -19,7 +19,8 @@ from gmmdc import (
     t_test,
     variance_report,
 )
-from gmmdc.inference import bootstrap_rng
+from gmmdc._batch import FATAL_REASONS
+from gmmdc.inference import _percentile_t, bootstrap_rng
 
 
 def _iv_fit(seed=0, n=60, alpha0=0.3, kind="two-step"):
@@ -197,3 +198,31 @@ class TestMrBootstrap:
         res = mr_bootstrap(sysm, FitPlan.one_step(), 0, 99, seed=2)
         assert res.failures == 0
         assert not res.reliability_warning
+
+    def test_failures_are_counted_by_reason(self):
+        # y = x except in unit 0, so a resample without unit 0 fits exactly:
+        # its one-step dc standard error is exactly 0 and its two-step
+        # efficient weight is the zero matrix.
+        y, X, Z = dgp_iv(30, 0.0, ReplicationStreams(9, 6))
+        y = X[:, 0].copy()
+        y[0] += 1.0
+        sysm = build_iv_system(y, X, Z[:, :2])
+        without_0 = sum(0 not in bootstrap_rng(4, b).integers(0, 30, 30) for b in range(99))
+        assert without_0 > 0
+        plans = [FitPlan.one_step(), FitPlan.two_step()]
+        (one,), (two,) = _percentile_t(sysm, 99, 4, plans, [0], [0.0])
+        labels = {r.label for r in FATAL_REASONS} | {"degenerate-variance"}
+        for res, reason in ((one, "degenerate-variance"), (two, "efficient-weight-not-pd")):
+            assert set(res.failure_reasons) == labels
+            assert res.failures == without_0 == res.failure_reasons[reason]
+            assert sum(res.failure_reasons.values()) == res.failures
+        for plan, res in zip(plans, (one, two)):
+            single = mr_bootstrap(sysm, plan, 0, 99, seed=4)
+            assert np.array_equal(single.t_star, res.t_star)
+            assert single.failure_reasons == res.failure_reasons
+
+    def test_clean_run_has_zero_reasons(self):
+        y, X, Z = dgp_iv(60, 0.0, ReplicationStreams(9, 5))
+        res = mr_bootstrap(build_iv_system(y, X, Z), FitPlan.two_step(), 0, 99, seed=2)
+        assert len(res.failure_reasons) == len(FATAL_REASONS) + 1
+        assert not any(res.failure_reasons.values())

@@ -239,6 +239,16 @@ class TestSystemInvariants:
             LinearMomentSystem(h=rng.standard_normal((10, 2)),
                                G_obs=rng.standard_normal((10, 2, 1)), W_obs=W)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["h", "G_obs", "Z_obs", "H"])
+    def test_non_finite_arrays_rejected(self, name, bad):
+        y, X, Z = dgp_iv(40, 0.5, ReplicationStreams(61, 3))
+        sysm = build_iv_system(y, X, Z)
+        arrays = {a: np.array(getattr(sysm, a)) for a in ("h", "G_obs", "Z_obs", "H")}
+        arrays[name].flat[arrays[name].size // 2] = bad
+        with pytest.raises(ValueError, match=f"{name} has missing or non-finite"):
+            LinearMomentSystem(**arrays)
+
     def test_weight_specs_validate(self):
         with pytest.raises(ValueError):
             WeightSpec.efficient_uncentered(None)

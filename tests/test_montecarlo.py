@@ -22,9 +22,11 @@ from gmmdc import (
     dgp_panel_rc,
     draw_system,
     fit,
+    mr_bootstrap,
     run_study,
 )
-from gmmdc import montecarlo
+from gmmdc import inference, montecarlo
+from gmmdc._batch import BatchGmm
 from gmmdc.montecarlo import worker_count
 
 
@@ -273,3 +275,78 @@ class TestRunStudy:
                           estimators=("two",), seed=23)
         block = run_study(cfg, threads=2).estimators["two"]
         assert 0.04 <= block.reject_conv <= 0.06
+
+
+def _boot_seed(cfg, r):
+    return int(np.random.SeedSequence((cfg.seed, r, montecarlo._BOOT_SEED_BLOCK)).generate_state(1)[0])
+
+
+class TestSharedBootstrap:
+    def test_one_resample_stack_per_replication(self, monkeypatch):
+        calls = {"stack": 0, "draw": 0}
+        from_system, rng = BatchGmm.from_system.__func__, inference.bootstrap_rng
+
+        def counting_from_system(cls, sysm, idx):
+            calls["stack"] += 1
+            return from_system(cls, sysm, idx)
+
+        def counting_rng(seed, b):
+            calls["draw"] += 1
+            return rng(seed, b)
+
+        monkeypatch.setattr(BatchGmm, "from_system", classmethod(counting_from_system))
+        monkeypatch.setattr(inference, "bootstrap_rng", counting_rng)
+        cfg = StudyConfig(design=IvLocal(n=40, alpha0=0.2), replications=5,
+                          estimators=("one", "two"), seed=4, bootstrap_B=99)
+        summary = run_study(cfg)
+        assert all(b.failures == b.bootstrap_failures == 0 for b in summary.estimators.values())
+        assert calls == {"stack": 5, "draw": 5 * 99}
+
+    @pytest.mark.parametrize("estimators", [
+        ("one", "two"), pytest.param(("iter",), marks=pytest.mark.slow)])
+    def test_records_equal_mr_bootstrap_across_chunks(self, estimators):
+        design = IvLocal(n=60, alpha0=0.3)
+        cfg = StudyConfig(design=design, replications=70, estimators=estimators,
+                          seed=12, bootstrap_B=99)
+        chunks = [montecarlo._chunk_records(cfg, 0, 64), montecarlo._chunk_records(cfg, 64, 70)]
+        for est in cfg.estimators:
+            rec = {f: np.concatenate([c[est][f] for c in chunks])
+                   for f in ("ok", "boot", "boot_failures")}
+            assert rec["ok"].all()
+            for r in range(cfg.replications):
+                sysm = draw_system(design, ReplicationStreams(cfg.seed, r))
+                try:
+                    res = mr_bootstrap(sysm, cfg.plan(est), 0, 99, _boot_seed(cfg, r),
+                                       design.true_value)
+                except gmmdc.GmmError:
+                    assert np.isnan(rec["boot"][r])
+                    continue
+                assert rec["boot"][r] == float(res.reject_5pct)
+                assert rec["boot_failures"][r] == res.failures
+
+    def test_resample_failures_inside_bootstraps_are_summed(self, monkeypatch):
+        # Only unit 0 carries a Jacobian, so every resample without it has a
+        # singular normal matrix and is skipped.
+        draw = montecarlo.draw_system
+
+        def sparse_jacobian(design, streams, fixed_misspec=False):
+            sysm = draw(design, streams, fixed_misspec)
+            G = np.zeros_like(sysm.G_obs)
+            G[0] = sysm.G_obs[0]
+            return LinearMomentSystem(h=sysm.h, G_obs=G, Z_obs=sysm.Z_obs, H=sysm.H)
+
+        monkeypatch.setattr(montecarlo, "draw_system", sparse_jacobian)
+        design = IvLocal(n=30, alpha0=0.0)
+        cfg = StudyConfig(design=design, replications=3, estimators=("one", "two"),
+                          seed=8, bootstrap_B=99)
+        summary = run_study(cfg)
+        for est, block in summary.estimators.items():
+            expected = 0
+            for r in range(cfg.replications):
+                sysm = sparse_jacobian(design, ReplicationStreams(cfg.seed, r))
+                res = mr_bootstrap(sysm, cfg.plan(est), 0, 99, _boot_seed(cfg, r),
+                                   design.true_value)
+                assert res.failure_reasons["singular-normal-matrix"] == res.failures
+                expected += res.failures
+            assert block.bootstrap_failures == 0
+            assert block.bootstrap_resample_failures == expected > 0
