@@ -9,25 +9,23 @@ same result dictionary, so they always agree.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
 import sys
-from typing import Dict, List, Optional
+import time
+from typing import List, Optional
 
 import numpy as np
+import scipy
 
+from . import __version__
 from .errors import GmmError, JNotDefinedError
 from .estimate import DEFAULT_TOL, FitPlan, fit
 from .inference import _percentile_t, _unwrap, j_test, t_test
 from .linmoment import PanelDataset, WeightSpec, build_ab_system, build_iv_system
-from .montecarlo import (
-    IvLocal,
-    PanelLagMiss,
-    PanelRandomCoef,
-    StudyConfig,
-    run_study,
-)
+from .montecarlo import IvLocal, PanelLagMiss, PanelRandomCoef, StudyConfig, run_study
 from .variance import variance_report
 
 SCHEMA = "gmm-dc/1"
@@ -51,10 +49,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             with open(args.json, "w", encoding="utf-8") as fh:
                 json.dump(result, fh, indent=2)
                 fh.write("\n")
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError, KeyError) as exc:
+    except (DataError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GmmError as exc:
@@ -127,89 +122,140 @@ def _build_parser() -> argparse.ArgumentParser:
 # estimate
 
 
-def _read_csv(path: str) -> Dict[str, List[str]]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataError(f"{path}: missing header row")
-        columns: Dict[str, List[str]] = {name: [] for name in reader.fieldnames}
-        for row in reader:
-            for name in columns:
-                columns[name].append(row[name])
-    return columns
+#: numpy's reader of the accepted dialect (README, "CSV dialect").
+_DIALECT = dict(delimiter=",", quotechar='"', comments=None, ndmin=2)
 
 
-def _numeric(columns: Dict[str, List[str]], names: List[str]) -> np.ndarray:
-    out = []
+def _read_csv(path: str):
+    """Column positions by name (the last of repeated names) and the data
+    lines of a CSV file, blank lines dropped."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise DataError(f"{path}: missing header row")
+    header = next(csv.reader(lines[:1]))
+    return {name: i for i, name in enumerate(header)}, [line for line in lines[1:] if line]
+
+
+def _load(table, names: List[str], dtype=float) -> np.ndarray:
+    """The named columns of every data line, as an (n, len(names)) array."""
+    index, lines = table
     for name in names:
-        if name not in columns:
-            raise DataError(f"column {name!r} not found; available: {sorted(columns)}")
-        try:
-            out.append(np.asarray([float(v) for v in columns[name]]))
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"column {name!r} has non-numeric cells: {exc}") from None
-    return np.column_stack(out)
+        if name not in index:
+            raise DataError(f"column {name!r} not found; available: {sorted(index)}")
+    if not lines:       # numpy warns on input without data
+        return np.empty((0, len(names)), dtype)
+    return np.loadtxt(lines, dtype, usecols=[index[name] for name in names], **_DIALECT)
 
 
-def _panel_arrays(columns, id_col, time_col, value_cols):
-    ids_raw = columns.get(id_col)
-    times = _numeric(columns, [time_col])[:, 0]
-    if ids_raw is None:
+def _numeric(table, names: List[str]) -> np.ndarray:
+    try:
+        return _load(table, names)
+    except ValueError:
+        for name in names:      # name the first column, in the order asked, that fails
+            try:
+                _load(table, [name])
+            except ValueError as exc:
+                raise DataError(f"column {name!r} has non-numeric cells: {exc}") from None
+        raise
+
+
+def _panel_arrays(table, id_col: str, time_col: str, value_cols: List[str]):
+    """One (N, T) array per value column: ids in order of first appearance, times sorted."""
+    if id_col not in table[0]:
         raise DataError(f"column {id_col!r} not found")
-    values = _numeric(columns, value_cols)
-    order: Dict[str, int] = {}
-    for label in ids_raw:
-        order.setdefault(label, len(order))
-    ids = np.asarray([order[label] for label in ids_raw])
-    n_ids = len(order)
-    time_values = np.unique(times)
-    T = len(time_values)
-    time_index = {t: i for i, t in enumerate(time_values)}
-    filled = np.zeros((n_ids, T), dtype=bool)
-    panels = [np.full((n_ids, T), np.nan) for _ in value_cols]
-    for row, (i, t) in enumerate(zip(ids, times)):
-        ti = time_index[t]
-        if filled[i, ti]:
-            raise DataError(f"duplicate (id, time) cell for id {ids_raw[row]!r}, time {t}")
-        filled[i, ti] = True
-        for p, panel in enumerate(panels):
-            panel[i, ti] = values[row, p]
-    if not filled.all():
+    data = _numeric(table, [time_col] + value_cols)
+    times = data[:, 0]
+    if np.isnan(times).any():
+        raise DataError(f"column {time_col!r} has NaN cells")
+    labels = _load(table, [id_col], str)[:, 0]
+    _, first, ids = np.unique(labels, return_index=True, return_inverse=True)
+    periods, t_of = np.unique(times, return_inverse=True)
+    N, T = len(first), len(periods)
+    cells = np.argsort(np.argsort(first))[ids] * T + t_of
+    _, seen = np.unique(cells, return_index=True)
+    if len(seen) < len(cells):
+        row = np.setdiff1d(np.arange(len(cells)), seen)[0]     # first to meet a filled cell
+        raise DataError(f"duplicate (id, time) cell for id {str(labels[row])!r}, "
+                        f"time {times[row]}")
+    if len(cells) != N * T:
         raise DataError("panel is unbalanced: some (id, time) cells are missing")
-    return panels
+    panels = np.empty((len(value_cols), N * T))
+    panels[:, cells] = data[:, 1:].T
+    return list(panels.reshape(len(value_cols), N, T))
+
+
+class _Stages:
+    """Wall milliseconds per stage of one command: ``with stages("fit"): ...``."""
+
+    def __init__(self, *names: str):
+        self.ms = {f"{name}_ms": 0.0 for name in names}
+
+    @contextlib.contextmanager
+    def __call__(self, name: str):
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.ms[f"{name}_ms"] += (time.perf_counter() - start) * 1e3
+
+
+def _provenance(seed: int, started: float) -> dict:
+    """Versions, BLAS, threads, seed and wall time of a run that began at ``started``."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):    # numpy < 1.26 has no dict form
+        blas = {}
+    return {
+        "gmmdc": __version__,
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "seed": seed,
+        "started_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(started)),
+        "wall_ms": (time.time() - started) * 1e3,
+    }
 
 
 def cmd_estimate(args) -> dict:
-    columns = _read_csv(args.data)
-    if args.model == "iv":
-        x_names = args.x.split(",")
-        y = _numeric(columns, [args.y])[:, 0]
-        X = _numeric(columns, x_names)
-        Z = _numeric(columns, args.z.split(","))
-        sys_ = build_iv_system(y, X, Z)
-        coef_names = x_names
-    else:
-        mode = "predetermined" if args.mode == "predetermined-x" else "ar1"
-        if mode == "ar1":
-            (ypanel,) = _panel_arrays(columns, args.id, args.time, [args.y])
+    started = time.time()
+    stages = _Stages("read", "build", "fit", "variance", "j", "bootstrap")
+    with stages("read"):
+        table = _read_csv(args.data)
+        if args.model == "iv":
+            coef_names = args.x.split(",")
+            data = _numeric(table, [args.y] + coef_names + args.z.split(","))
+            y, X, Z = (np.ascontiguousarray(a)
+                       for a in np.split(data, [1, 1 + len(coef_names)], axis=1))
+        elif args.mode == "ar1":
+            (ypanel,) = _panel_arrays(table, args.id, args.time, [args.y])
             panel = PanelDataset(y=ypanel)
             coef_names = [f"lag({args.y})"]
         else:
             if not args.x or len(args.x.split(",")) != 1:
                 raise DataError("panel models take a single regressor column")
-            x_names = args.x.split(",")
-            ypanel, xpanel = _panel_arrays(columns, args.id, args.time, [args.y] + x_names)
+            coef_names = args.x.split(",")
+            ypanel, xpanel = _panel_arrays(table, args.id, args.time, [args.y] + coef_names)
             panel = PanelDataset(y=ypanel, x=xpanel)
-            coef_names = x_names
-        try:
-            sys_ = build_ab_system(panel, mode=mode)
-        except ValueError as exc:
-            raise DataError(str(exc)) from None
+    with stages("build"):
+        if args.model == "iv":
+            sys_ = build_iv_system(y[:, 0], X, Z)
+        else:
+            mode = "ar1" if args.mode == "ar1" else "predetermined"
+            try:
+                sys_ = build_ab_system(panel, mode=mode)
+            except ValueError as exc:
+                raise DataError(str(exc)) from None
 
     w0 = WeightSpec.identity() if args.weight == "identity" else WeightSpec.data_average()
     plan = FitPlan(args.estimator, w0, centered=args.centered, tol=args.tol)
-    fit_result = fit(sys_, plan)
-    report = variance_report(sys_, fit_result)
+    with stages("fit"):
+        fit_result = fit(sys_, plan)
+    with stages("variance"):
+        report = variance_report(sys_, fit_result)
 
     nulls = [0.0] * sys_.k
     if args.null:
@@ -220,8 +266,9 @@ def cmd_estimate(args) -> dict:
 
     boots = [None] * sys_.k
     if args.bootstrap:
-        (boots,) = _percentile_t(sys_, args.bootstrap, args.seed, [plan], range(sys_.k), nulls,
-                                 [(fit_result.theta, report.se_dc)])
+        with stages("bootstrap"):
+            (boots,) = _percentile_t(sys_, args.bootstrap, args.seed, [plan], range(sys_.k),
+                                     nulls, [(fit_result.theta, report.se_dc)])
 
     coefficients = []
     for c, name in enumerate(coef_names):
@@ -242,26 +289,23 @@ def cmd_estimate(args) -> dict:
         }
         if boots[c] is not None:
             boot = _unwrap(boots[c])
-            entry["bootstrap"] = {
-                "B": boot.B,
-                "crit_abs": boot.crit_abs,
-                "reject_5pct": boot.reject_5pct,
-                "failures": boot.failures,
-                "t_original": boot.t_original,
-                "failure_reasons": boot.failure_reasons,
-            }
+            entry["bootstrap"] = {key: getattr(boot, key) for key in (
+                "B", "crit_abs", "reject_5pct", "failures", "t_original", "failure_reasons")}
         coefficients.append(entry)
 
-    j_entry = None
-    j_note = None
+    j_entry = j_note = None
     try:
-        j = j_test(sys_, fit_result)
+        with stages("j"):
+            j = j_test(sys_, fit_result)
         j_entry = {"statistic": j.statistic, "df": j.df, "p_value": j.p_value}
     except JNotDefinedError:
         j_note = "model is just-identified (q = k); the J test is not defined"
 
     def matrix(m):
         return None if m is None else [[float(v) for v in row] for row in np.atleast_2d(m)]
+
+    def vector(v):
+        return None if v is None else list(map(float, v))
 
     return {
         "schema": SCHEMA,
@@ -279,16 +323,12 @@ def cmd_estimate(args) -> dict:
         "j_test": j_entry,
         "j_note": j_note,
         "variance": {
-            "V_conv": matrix(report.V_conv),
-            "V_w": matrix(report.V_w),
-            "V_dc": matrix(report.V_dc),
-            "D_hat": matrix(report.D_hat),
-            "Sigma_n": matrix(report.Sigma_n),
-            "C_hat": matrix(report.C_hat),
-            "se_conv": list(map(float, report.se_conv)),
-            "se_w": None if report.se_w is None else list(map(float, report.se_w)),
-            "se_dc": list(map(float, report.se_dc)),
+            **{key: matrix(getattr(report, key))
+               for key in ("V_conv", "V_w", "V_dc", "D_hat", "Sigma_n", "C_hat")},
+            **{key: vector(getattr(report, key)) for key in ("se_conv", "se_w", "se_dc")},
         },
+        "timings": stages.ms,
+        "provenance": _provenance(args.seed, started),
     }
 
 
@@ -397,26 +437,10 @@ def cmd_simulate(args) -> dict:
         design_dict["N"] = design.N
         design_dict["T"] = design.T
 
-    blocks = {}
-    for est, s in summary.estimators.items():
-        blocks[est] = {
-            "mean_theta": s.mean_theta,
-            "sd_theta": s.sd_theta,
-            "mean_se_conv": s.mean_se_conv,
-            "mean_se_w": s.mean_se_w,
-            "mean_se_dc": s.mean_se_dc,
-            "reject_conv": s.reject_conv,
-            "reject_w": s.reject_w,
-            "reject_dc": s.reject_dc,
-            "reject_boot": s.reject_boot,
-            "reject_j": s.reject_j,
-            "failures": s.failures,
-            "bootstrap_failures": s.bootstrap_failures,
-            "sd_degenerate": s.sd_degenerate,
-            "nonconverged": s.nonconverged,
-            "failure_reasons": s.failure_reasons,
-            "bootstrap_resample_failures": s.bootstrap_resample_failures,
-        }
+    keys = ("mean_theta", "sd_theta", "mean_se_conv", "mean_se_w", "mean_se_dc", "reject_conv",
+            "reject_w", "reject_dc", "reject_boot", "reject_j", "failures", "bootstrap_failures",
+            "sd_degenerate", "nonconverged", "failure_reasons", "bootstrap_resample_failures")
+    blocks = {est: {key: getattr(s, key) for key in keys} for est, s in summary.estimators.items()}
     return {
         "schema": SCHEMA,
         "command": "simulate",

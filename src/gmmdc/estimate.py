@@ -6,6 +6,8 @@ the estimation kernel in :mod:`gmmdc._batch`.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
@@ -82,6 +84,9 @@ class GmmFit:
     converged: bool
     iterations: int
     plan: FitPlan
+    # (system, BatchGmm, BatchFit) behind the fit, which the views reuse on that
+    # system; set by fit() only, so a dataclasses.replace() copy does not carry it
+    _kernel: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def k(self) -> int:
@@ -131,4 +136,18 @@ def fit(sys: LinearMomentSystem, plan: FitPlan) -> GmmFit:
         warnings.warn(f"iterated GMM did not converge within {plan.max_iter} updates; "
                       "returning the last iterate", RuntimeWarning, stacklevel=2)
     theta = state.theta[0]
-    return GmmFit(theta, steps, batch.h_n[0] + batch.G_n[0] @ theta, converged, len(steps), plan)
+    result = GmmFit(theta, steps, batch.h_n[0] + batch.G_n[0] @ theta, converged, len(steps), plan)
+    object.__setattr__(result, "_kernel", (sys, batch, state))
+    return result
+
+
+def _fit_state(sys: LinearMomentSystem, fit_result: GmmFit):
+    """The one-system stack and fit state behind ``fit_result``: the fit's own
+    when ``sys`` is the system it was fitted on, else resumed from its
+    estimate. The state carries its own :class:`Status`, so the caller's
+    flags do not reach other views."""
+    if fit_result._kernel is not None and fit_result._kernel[0] is sys:
+        _, batch, state = fit_result._kernel
+        return batch, dataclasses.replace(state, status=copy.deepcopy(state.status))
+    batch = BatchGmm.from_stack([sys])
+    return batch, batch.resume(fit_result.plan, fit_result.theta[None])

@@ -17,7 +17,7 @@ from scipy import stats as spstats
 
 from ._batch import FATAL_REASONS, BatchGmm
 from .errors import DegenerateVarianceError, GmmError, JNotDefinedError
-from .estimate import FitPlan, GmmFit, fit
+from .estimate import FitPlan, GmmFit, _fit_state, fit
 from .linmoment import LinearMomentSystem
 from .variance import VarianceReport, variance_report
 
@@ -92,7 +92,8 @@ def j_test(sys: LinearMomentSystem, fit_result: GmmFit) -> TestResult:
     second-moment weight at the one-step estimate for one- and two-step fits
     (the two-step's second weight) and at the estimate for iterated fits,
     referred to chi-square with q - k degrees of freedom. This is the
-    kernel's :meth:`BatchGmm.j_stat` on a one-system stack.
+    kernel's :meth:`BatchGmm.j_stat` on the fit's stack when ``sys`` is the
+    system ``fit_result`` was fitted on, else on a new one-system stack.
 
     Raises
     ------
@@ -102,8 +103,7 @@ def j_test(sys: LinearMomentSystem, fit_result: GmmFit) -> TestResult:
     df = sys.q - sys.k
     if df <= 0:
         raise JNotDefinedError("the J test requires more moments than parameters")
-    batch = BatchGmm.from_stack([sys])
-    state = batch.resume(fit_result.plan, fit_result.theta[None])
+    batch, state = _fit_state(sys, fit_result)
     j = float(batch.j_stat(state)[0])
     state.status.raise_for(0)
     p = float(spstats.chi2.sf(j, df))

@@ -17,7 +17,7 @@ from typing import Optional, Union
 import numpy as np
 
 from ._batch import BatchGmm
-from .estimate import GmmFit
+from .estimate import GmmFit, _fit_state
 from .linmoment import LinearMomentSystem, WeightFactors, full_factors
 
 
@@ -120,10 +120,11 @@ def variance_report(sys: LinearMomentSystem, fit: GmmFit) -> VarianceReport:
     stack: one-step fits get the conventional and doubly corrected
     sandwiches, two-step fits add the Windmeijer correction and the cross
     block of the double correction, and iterated fits use the fixed-point
-    forms with the correction folded into the bread.
+    forms with the correction folded into the bread. It reuses the fit's
+    stack when ``sys`` is the system ``fit`` was fitted on.
     """
-    batch = BatchGmm.from_stack([sys])
-    res = batch.variance(batch.resume(fit.plan, fit.theta[None]))
+    batch, state = _fit_state(sys, fit)
+    res = batch.variance(state)
     res.status.raise_for(0)
     rank_warning = bool(np.linalg.matrix_rank(res.Sigma_n[0]) < sys.k)
     if rank_warning:

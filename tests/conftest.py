@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from gmmdc import ExpansionTruth, LinearMomentSystem
+from gmmdc import (
+    ExpansionTruth,
+    FitPlan,
+    LinearMomentSystem,
+    ReplicationStreams,
+    WeightSpec,
+    build_iv_system,
+    dgp_iv,
+    fit,
+)
 
 
 def random_system(rng, n=40, q=4, k=2, with_weight_obs=True):
@@ -13,6 +22,22 @@ def random_system(rng, n=40, q=4, k=2, with_weight_obs=True):
         f = rng.standard_normal((n, q, q))
         W = np.einsum("nqj,npj->nqp", f, f) + 2.0 * np.eye(q)
     return LinearMomentSystem(h=h, G_obs=G, W_obs=W)
+
+
+#: (kind, centered, preliminary weight) of every fit the views may share a stack with.
+SHARED_STACK_PLANS = [(kind, centered, w0) for kind in ("one-step", "two-step", "iterated")
+                      for centered in (False, True) for w0 in ("identity", "data-average")]
+
+
+def fit_and_twin(kind, centered, w0):
+    """An over-identified IV system with k = 2, its fit under the plan, and a
+    second system object holding equal arrays (which the views cannot tell
+    is the same)."""
+    y, X, Z = dgp_iv(80, 0.4, ReplicationStreams(41, 2))
+    X = np.column_stack([X[:, 0], Z[:, 0]])
+    sysm, twin = build_iv_system(y, X, Z), build_iv_system(y, X, Z)
+    weight = WeightSpec.identity() if w0 == "identity" else WeightSpec.data_average()
+    return sysm, fit(sysm, FitPlan(kind, weight, centered)), twin
 
 
 def iv_population_truth(n, alpha0):

@@ -35,6 +35,9 @@ COEFFICIENT_KEYS = {
 }
 BOOTSTRAP_KEYS = {"B", "crit_abs", "reject_5pct", "failures", "t_original", "failure_reasons"}
 J_KEYS = {"statistic", "df", "p_value"}
+TIMINGS_KEYS = {"read_ms", "build_ms", "fit_ms", "variance_ms", "j_ms", "bootstrap_ms"}
+PROVENANCE_KEYS = {"gmmdc", "numpy", "scipy", "blas", "OPENBLAS_NUM_THREADS", "seed",
+                   "started_utc", "wall_ms"}
 VARIANCE_KEYS = {"V_conv", "V_w", "V_dc", "D_hat", "Sigma_n", "C_hat", "se_conv", "se_w", "se_dc"}
 
 SIMULATE_KEYS = {"schema", "command", "config", "estimators", "failure_warning"}
@@ -70,6 +73,13 @@ def test_estimate_json_keeps_its_keys(tmp_path):
     assert coef["bootstrap"]["failures"] == sum(coef["bootstrap"]["failure_reasons"].values())
     assert J_KEYS <= set(result["j_test"])
     assert VARIANCE_KEYS <= set(result["variance"])
+    assert TIMINGS_KEYS <= set(result["timings"])
+    assert all(ms >= 0.0 for ms in result["timings"].values())
+    assert result["timings"]["bootstrap_ms"] > 0.0
+    assert PROVENANCE_KEYS <= set(result["provenance"])
+    assert {"name", "version"} <= set(result["provenance"]["blas"])
+    assert result["provenance"]["gmmdc"] == gmmdc.__version__
+    assert result["provenance"]["seed"] == 0
 
 
 def test_simulate_json_keeps_its_keys(tmp_path):

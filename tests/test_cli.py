@@ -2,9 +2,12 @@ import csv
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats as spstats
 
 from gmmdc import (
@@ -18,9 +21,10 @@ from gmmdc import (
     mr_bootstrap,
     variance_report,
 )
-from gmmdc import montecarlo
+from gmmdc import cli, montecarlo
 from gmmdc._batch import BatchGmm
 from gmmdc.cli import main
+import csv_oracle
 
 
 def write_iv_csv(path, y, X, Z):
@@ -125,7 +129,9 @@ class TestEstimateCommand:
             main(["estimate", "iv", "--data", str(path), "--y", "y",
                   "--x", x_cols, "--z", z_cols, "--bootstrap", "999",
                   "--seed", "7", "--json", str(out)])
-            outputs.append(out.read_text())
+            result = json.loads(out.read_text())
+            del result["timings"], result["provenance"]     # the run's clock and host
+            outputs.append(json.dumps(result))
         assert outputs[0] == outputs[1]
 
     def test_bootstrap_shares_one_stack_across_coefficients(self, tmp_path, monkeypatch):
@@ -217,6 +223,127 @@ class TestEstimateCommand:
                      "--x", x_cols, "--z", z_cols])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+
+def _panel_rows(panel):
+    """Header and rows (id, time, y, x) of a panel, as cell strings."""
+    rows = [[str(i), str(t), repr(float(panel.y[i, t])), repr(float(panel.x[i, t]))]
+            for i in range(panel.N) for t in range(panel.T)]
+    return ["id", "time", "y", "x"], rows
+
+
+def _write_rows(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _estimate_panel(path, tmp_path):
+    """The estimate JSON of a panel file, without the run-specific timings and provenance."""
+    out = tmp_path / "out.json"
+    assert main(["estimate", "panel", "--data", str(path), "--id", "id", "--time", "time",
+                 "--y", "y", "--x", "x", "--json", str(out)]) == 0
+    result = json.loads(out.read_text())
+    result.pop("timings", None)
+    result.pop("provenance", None)
+    return result
+
+
+class TestCsvReader:
+    """The reader's contract: what it accepts, what it rejects with exit 2, and how."""
+
+    @pytest.fixture
+    def panel(self):
+        return dgp_panel_lag(30, 4, 0.0, ReplicationStreams(2, 2))
+
+    def _main_panel(self, path):
+        return main(["estimate", "panel", "--data", str(path), "--id", "id", "--time", "time",
+                     "--y", "y", "--x", "x"])
+
+    def test_duplicate_cell_names_id_and_time(self, tmp_path, capsys):
+        path = tmp_path / "p.csv"
+        path.write_text("id,time,y,x\na,1,0.1,0.2\na,2,0.3,0.1\nb,1,0.5,0.2\n"
+                        "b,2,0.4,0.3\nb,1,0.6,0.1\na,2,0.2,0.2\n")
+        assert self._main_panel(path) == 2
+        err = capsys.readouterr().err
+        assert "duplicate" in err
+        assert "id 'b', time 1.0" in err
+
+    def test_empty_file_is_missing_header(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        assert main(["estimate", "iv", "--data", str(path), "--y", "y",
+                     "--x", "x", "--z", "z"]) == 2
+        assert "missing header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body", ["1.0,2.0,3.0\n,2.0,3.0\n", "1.0,2.0,3.0\n1.0,2.0\n"],
+                             ids=["empty-cell", "short-row"])
+    def test_empty_cell_and_short_row_are_non_numeric(self, tmp_path, capsys, body):
+        path = tmp_path / "bad.csv"
+        path.write_text("y,x,z\n" + body)
+        assert main(["estimate", "iv", "--data", str(path), "--y", "y",
+                     "--x", "x", "--z", "z"]) == 2
+        assert "non-numeric" in capsys.readouterr().err
+
+    def test_blank_lines_are_skipped(self, panel, tmp_path):
+        header, rows = _panel_rows(panel)
+        plain, gappy = tmp_path / "plain.csv", tmp_path / "gappy.csv"
+        _write_rows(plain, header, rows)
+        with open(gappy, "w", newline="") as fh:
+            fh.write(",".join(header) + "\r\n\r\n")
+            for r, row in enumerate(rows):
+                fh.write(",".join(row) + ("\n\n" if r % 7 == 0 else "\n"))
+            fh.write("\n\n")
+        assert _estimate_panel(gappy, tmp_path) == _estimate_panel(plain, tmp_path)
+
+    def test_quoted_id_with_a_comma(self, panel, tmp_path):
+        header, rows = _panel_rows(panel)
+        plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+        _write_rows(plain, header, rows)
+        _write_rows(quoted, header, [[f'unit "{r[0]}", north'] + r[1:] for r in rows])
+        assert '"unit ""0"", north"' in quoted.read_text()
+        assert _estimate_panel(quoted, tmp_path) == _estimate_panel(plain, tmp_path)
+
+    def test_shuffled_rows_give_the_same_panel(self, panel, tmp_path):
+        header, rows = _panel_rows(panel)
+        plain, shuffled = tmp_path / "plain.csv", tmp_path / "shuffled.csv"
+        _write_rows(plain, header, rows)
+        # Shuffle within the first appearance order of the ids, which fixes the panel's row order.
+        rng = np.random.default_rng(3)
+        firsts = [rows[i * panel.T] for i in range(panel.N)]
+        rest = [row for row in rows if row not in firsts]
+        rng.shuffle(rest)
+        _write_rows(shuffled, header, firsts + rest)
+        assert _estimate_panel(shuffled, tmp_path) == _estimate_panel(plain, tmp_path)
+
+
+@st.composite
+def _shuffled_panel(draw):
+    """Rows (id, t, y, x) of a balanced panel with arbitrary id labels and
+    periods, in random order."""
+    label = st.text(st.characters(blacklist_categories=("Cs",),
+                                  blacklist_characters="\r\n\x00"), max_size=6)
+    ids = draw(st.lists(label, min_size=1, max_size=5, unique=True))
+    times = draw(st.lists(st.integers(-50, 50) | st.floats(-1e6, 1e6), min_size=1,
+                          max_size=4, unique_by=float))
+    value = st.floats(allow_nan=False, allow_infinity=False)
+    rows = [[i, repr(float(t)), repr(draw(value)), repr(draw(value))] for i in ids for t in times]
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_shuffled_panel())
+def test_property_panel_reader_matches_row_by_row_oracle(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.csv"
+        _write_rows(path, ["id", "t", "y", "x"], rows)
+        want = csv_oracle.panel_arrays(csv_oracle.read_columns(path), "id", "t", ["y", "x"])
+        got = cli._panel_arrays(cli._read_csv(str(path)), "id", "t", ["y", "x"])
+    assert len(got) == len(want) == 2
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
 
 
 class TestSimulateCommand:

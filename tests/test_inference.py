@@ -4,6 +4,7 @@ import pytest
 from gmmdc import (
     DegenerateVarianceError,
     FitPlan,
+    IllConditionedCorrectionError,
     JNotDefinedError,
     LinearMomentSystem,
     ReplicationStreams,
@@ -19,8 +20,9 @@ from gmmdc import (
     t_test,
     variance_report,
 )
-from gmmdc._batch import FATAL_REASONS
+from gmmdc._batch import FATAL_REASONS, BatchGmm
 from gmmdc.inference import _percentile_t, bootstrap_rng
+from conftest import SHARED_STACK_PLANS, fit_and_twin
 
 
 def _iv_fit(seed=0, n=60, alpha0=0.3, kind="two-step"):
@@ -114,6 +116,21 @@ class TestJTest:
         g_n = sysm.g_obs(f.theta).mean(axis=0)
         expected = sysm.n * g_n @ np.linalg.solve(f.final_weight, g_n)
         assert res.statistic == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("kind,centered,w0", SHARED_STACK_PLANS)
+    def test_shared_stack_is_bit_identical_to_resume(self, kind, centered, w0):
+        sysm, f, twin = fit_and_twin(kind, centered, w0)
+        assert j_test(sysm, f) == j_test(twin, f)
+
+    def test_failed_variance_does_not_fail_j(self, monkeypatch):
+        sysm, f, _ = fit_and_twin("iterated", False, "data-average")
+        expected = j_test(sysm, f)
+        # D_hat = I makes (I - D_hat) exactly singular in the kernel's iterated branch.
+        monkeypatch.setattr(BatchGmm, "_d_hat", lambda self, *args: np.broadcast_to(
+            np.eye(self.k), (self.R,) + (self.k,) * 2))
+        with pytest.raises(IllConditionedCorrectionError):
+            variance_report(sysm, f)
+        assert j_test(sysm, f) == expected
 
 
 class TestCriticalValue:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from gmmdc import (
     variance_report,
 )
 from gmmdc._batch import BatchGmm
-from conftest import random_system
+from conftest import SHARED_STACK_PLANS, fit_and_twin, random_system
 from reference_formulas import iv_closed_forms, panel_closed_forms
 
 KINDS = ("one-step", "two-step", "iterated")
@@ -273,3 +275,38 @@ class TestVarianceReport:
                             lambda self, *args: np.broadcast_to(np.eye(self.k), (self.R,) + (self.k,) * 2))
         with pytest.raises(IllConditionedCorrectionError, match="condition number"):
             variance_report(sysm, f)
+
+
+class TestSharedStack:
+    """``variance_report`` on the system a fit came from reuses the fit's
+    stack; on any other system it resumes from the estimate. Both give the
+    same bits."""
+
+    @pytest.mark.parametrize("kind,centered,w0", SHARED_STACK_PLANS)
+    def test_shared_stack_is_bit_identical_to_resume(self, kind, centered, w0, monkeypatch):
+        sysm, f, twin = fit_and_twin(kind, centered, w0)
+        resumes = []
+        resume = BatchGmm.resume
+
+        def counting_resume(self, *args):
+            resumes.append(args)
+            return resume(self, *args)
+
+        monkeypatch.setattr(BatchGmm, "resume", counting_resume)
+        shared = variance_report(sysm, f)
+        assert resumes == []
+        resumed = variance_report(twin, f)
+        assert len(resumes) == 1
+        for name in ("V_conv", "V_dc", "D_hat", "Sigma_n", "se_conv", "se_dc", "V_w", "se_w",
+                     "C_hat"):
+            a, b = getattr(shared, name), getattr(resumed, name)
+            assert (a is None) == (b is None), name
+            if a is not None:
+                assert a.tobytes() == b.tobytes(), name
+        assert shared.rank_warning == resumed.rank_warning
+
+    def test_a_replaced_fit_does_not_carry_the_stack(self):
+        sysm, f, _ = fit_and_twin("two-step", False, "data-average")
+        moved = dataclasses.replace(f, theta=f.theta + 0.1)
+        assert variance_report(sysm, moved).V_dc.tobytes() != \
+            variance_report(sysm, f).V_dc.tobytes()
