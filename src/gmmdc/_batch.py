@@ -67,8 +67,9 @@ class Status:
         self.cond = np.full(R, np.nan)
         self.ok = np.ones(R, dtype=bool)
 
-    def flag(self, bad: np.ndarray, code: Reason, cond: Optional[np.ndarray] = None) -> None:
-        """Record ``code`` on the rows ``bad`` that have no fatal reason yet."""
+    def flag(self, bad: np.ndarray, code: Reason, cond=None) -> None:
+        """Record ``code`` on the rows ``bad`` that have no fatal reason yet,
+        with ``cond``: per-row condition numbers or one for all of them."""
         rows = bad & self.ok
         if not rows.any():
             return
@@ -76,7 +77,14 @@ class Status:
         if code in FATAL_REASONS:
             self.ok[rows] = False
         if cond is not None:
-            self.cond[rows] = cond[rows]
+            self.cond[rows] = cond[rows] if np.ndim(cond) else cond
+
+    def put(self, rows: np.ndarray, sub: "Status") -> None:
+        """Record the fatal reasons of ``sub``, the status of the replications ``rows``."""
+        if not sub.ok.all():
+            bad = rows[~sub.ok]
+            self.reason[bad], self.cond[bad] = sub.reason[~sub.ok], sub.cond[~sub.ok]
+            self.ok[bad] = False
 
     def raise_for(self, r: int = 0) -> None:
         """Raise the error matching replication ``r``'s fatal reason, if any."""
@@ -164,12 +172,39 @@ def _cond(w: np.ndarray) -> np.ndarray:
         return np.where(np.isfinite(w).all(axis=-1) & (lo > 0), hi / lo, np.inf)
 
 
+def _eigvalsh(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the symmetric matrices ``a`` on the ``rows`` whose entries
+    are finite; NaN on the other rows, whose :func:`_cond` is then infinite."""
+    rows = rows & np.isfinite(a).all(axis=(-2, -1))
+    if rows.all():
+        return np.linalg.eigvalsh(a)
+    w = np.full(a.shape[:-1], np.nan)
+    if rows.any():
+        w[rows] = np.linalg.eigvalsh(a[rows])
+    return w
+
+
+def _rowwise(f, *stacks: np.ndarray) -> np.ndarray:
+    """``f`` of stacks of matrices, NaN on the rows where it raises
+    ``LinAlgError``: a stack that raises is split in halves until those rows
+    are found. The result has the shape of the last stack."""
+    try:
+        return f(*stacks)
+    except np.linalg.LinAlgError:
+        if len(stacks[0]) == 1:
+            return np.full_like(stacks[-1], np.nan)
+        half = len(stacks[0]) // 2
+        return np.concatenate([_rowwise(f, *(a[:half] for a in stacks)),
+                               _rowwise(f, *(a[half:] for a in stacks))])
+
+
 def _masked_solve(a: np.ndarray, b: np.ndarray, ok: np.ndarray) -> np.ndarray:
-    """Batched solve with failed rows replaced by the identity system."""
+    """Batched solve with failed rows replaced by the identity system; NaN on
+    the rows whose matrix LU finds exactly singular."""
     a = np.where(ok[:, None, None], a, np.eye(a.shape[-1])[None])
     if b.ndim == a.ndim - 1:        # stack of vectors
-        return np.linalg.solve(a, b[..., None])[..., 0]
-    return np.linalg.solve(a, b)
+        return _rowwise(np.linalg.solve, a, b[..., None])[..., 0]
+    return _rowwise(np.linalg.solve, a, b)
 
 
 def _omega(g: np.ndarray, centered: bool) -> np.ndarray:
@@ -209,8 +244,21 @@ class BatchGmm:
         self.H = H
         self.R, self.n, self.q = h.shape
         self.k = G.shape[-1]
-        self.h_n = h.mean(axis=1)
-        self.G_n = G.mean(axis=1)
+
+    @cached_property
+    def h_n(self) -> np.ndarray:
+        return self.h.mean(axis=1)
+
+    @cached_property
+    def G_n(self) -> np.ndarray:
+        return self.G.mean(axis=1)
+
+    def _rows(self, keep: np.ndarray) -> "BatchGmm":
+        """The stack of the replications ``keep``, without weight factors; its
+        sample means are carried over, not recomputed."""
+        sub = BatchGmm(self.h[keep], self.G[keep])
+        sub.h_n, sub.G_n = self.h_n[keep], self.G_n[keep]
+        return sub
 
     @classmethod
     def from_system(cls, sys: LinearMomentSystem, idx: np.ndarray) -> "BatchGmm":
@@ -261,31 +309,46 @@ class BatchGmm:
             g = g - g.mean(axis=1, keepdims=True)
         return _omega(g, False), g
 
-    def _check_pd(self, weight, status: Status, code: Reason, live: np.ndarray) -> np.ndarray:
-        """Flag ``code`` on the ``live`` rows whose weight is not positive
-        definite; returns the positive definite mask."""
-        w = np.linalg.eigvalsh(_sym(weight))
-        pd = w[..., 0] > 0.0
-        if (live & ~pd).any():
-            status.flag(live & ~pd, code, _cond(w))
-        return pd
+    def _check_pd(self, weight, status: Status, code: Reason) -> None:
+        """Flag ``code`` on the rows with no fatal reason yet whose weight is not
+        positive definite.
 
-    def solve(self, weight, status: Status, code: Reason = Reason.PRELIMINARY_WEIGHT_NOT_PD,
-              live: Optional[np.ndarray] = None) -> _Solve:
+        One batched Cholesky factorization clears the positive definite rows.
+        Eigenvalues are computed only for the finite rows it fails on: they
+        decide those rows and give their condition numbers. A non-finite
+        weight fails with condition number inf.
+        """
+        w = _sym(weight)
+        pd = status.ok & np.isfinite(_rowwise(np.linalg.cholesky, w)).all(axis=(1, 2))
+        rest = status.ok & ~pd
+        if rest.any():
+            ev = _eigvalsh(w, rest)
+            pd |= ev[:, 0] > 0.0
+            status.flag(~pd, code, _cond(ev))
+
+    def _weight_solve(self, weight, b, status: Status, code: Reason) -> np.ndarray:
+        """W^-1 b on the rows with no fatal reason; a row whose weight LU
+        finds exactly singular gets ``code`` with condition number inf."""
+        x = _masked_solve(weight, b, status.ok)
+        status.flag(~np.isfinite(x).all(axis=(1, 2)), code, np.inf)
+        return x
+
+    def solve(self, weight, status: Status,
+              code: Reason = Reason.PRELIMINARY_WEIGHT_NOT_PD) -> _Solve:
         """One weighted solve theta = -(G_n' W^-1 G_n)^-1 G_n' W^-1 h_n.
 
-        Rows in ``live`` (default: all) whose weight is not positive definite
-        get ``code``, those whose normal matrix fails the condition limit
-        ``SINGULAR_NORMAL_MATRIX``. Rows that fail, here or before, are solved
-        against identity matrices and marked False in ``passed``.
+        Rows whose weight is not positive definite, or that LU finds exactly
+        singular, get ``code``; those whose normal matrix is non-finite or
+        fails the condition limit ``SINGULAR_NORMAL_MATRIX``. Rows that fail,
+        here or before, are solved against identity matrices and marked
+        False in ``passed``.
         """
-        live = np.ones(self.R, dtype=bool) if live is None else live
-        passed = status.ok & self._check_pd(weight, status, code, live)
-        aG = _masked_solve(weight, self.G_n, passed)
+        self._check_pd(weight, status, code)
+        aG = self._weight_solve(weight, self.G_n, status, code)
         M = _sym(np.swapaxes(self.G_n, 1, 2) @ aG)
-        cond = _cond(np.linalg.eigvalsh(M))
-        status.flag(live & passed & ~(cond <= COND_LIMIT), Reason.SINGULAR_NORMAL_MATRIX, cond)
-        passed &= cond <= COND_LIMIT
+        cond = _cond(_eigvalsh(M, status.ok))
+        status.flag(~(cond <= COND_LIMIT), Reason.SINGULAR_NORMAL_MATRIX, cond)
+        passed = status.ok.copy()
         M_safe = np.where(passed[:, None, None], M, np.eye(self.k)[None])
         rhs = np.swapaxes(aG, 1, 2) @ self.h_n[..., None]
         theta = -np.linalg.solve(M_safe, rhs)[..., 0]
@@ -329,41 +392,44 @@ class BatchGmm:
         theta, iterates = first.theta, [first.theta]
         converged = np.ones(self.R, dtype=bool)
         iterations = np.ones(self.R, dtype=int)
+        if plan.kind == "iterated":
+            theta, converged = self._iterate(plan, theta, status, iterates, iterations)
+            status.flag(~converged, Reason.NOT_CONVERGED)
         g_w, omega = self._efficient(plan, theta)
-        if plan.kind == "two-step":
+        if plan.kind != "one-step":
             final = self.solve(omega, status, Reason.EFFICIENT_WEIGHT_NOT_PD)
+        if plan.kind == "two-step":
             theta = final.theta
             iterates.append(theta)
             iterations += 1
-        elif plan.kind == "iterated":
-            theta, converged = self._iterate(plan, theta, omega, status, iterates, iterations)
-            status.flag(~converged, Reason.NOT_CONVERGED)
-            g_w, omega = self._efficient(plan, theta)
-            final = self.solve(omega, status, Reason.EFFICIENT_WEIGHT_NOT_PD)
         return BatchFit(plan, theta, w0, w0_obs, g_w, omega, first, final, status, converged,
                         iterations, iterates)
 
-    def _iterate(self, plan, theta1, omega, status, iterates, iterations):
-        """Iterated updates from ``theta1`` (whose weight is ``omega``);
-        replications freeze once converged or failed."""
-        theta_prev = theta1
+    def _iterate(self, plan, theta1, status, iterates, iterations):
+        """Iterated updates from ``theta1``. A replication freezes once
+        converged or failed; each update solves and re-forms Omega on the live
+        rows only, a stack cut down whenever a row freezes. A frozen row
+        repeats its last iterate."""
         theta = theta1.copy()
-        frozen = np.zeros(self.R, dtype=bool)
         converged = np.zeros(self.R, dtype=bool)
+        live, sub, sub_status, theta_prev, keep = np.arange(self.R), self, status, theta1, status.ok
         for _ in range(plan.max_iter):
-            step = self.solve(omega, status, Reason.EFFICIENT_WEIGHT_NOT_PD, live=~frozen)
-            active = ~frozen & step.passed
-            iterates.append(step.theta)
-            iterations += active
+            if not keep.all():
+                live, theta_prev = live[keep], theta_prev[keep]
+                sub, sub_status = sub._rows(keep), Status(live.size)
+                if not live.size:
+                    break
+            step = sub.solve(sub._efficient(plan, theta_prev)[1], sub_status,
+                             Reason.EFFICIENT_WEIGHT_NOT_PD)
+            status.put(live, sub_status)
+            iterates.append(iterates[-1].copy())
+            iterates[-1][live] = step.theta
+            iterations[live] += step.passed
             size = np.linalg.norm(step.theta - theta_prev, axis=1)
-            hit = active & (size < plan.tol * (1 + np.linalg.norm(theta_prev, axis=1)))
-            theta[active] = step.theta[active]
-            converged |= hit
-            frozen |= hit | ~status.ok
-            if frozen.all():
-                break
-            theta_prev = np.where(frozen[:, None], theta_prev, step.theta)
-            _, omega = self._efficient(plan, theta_prev)
+            hit = step.passed & (size < plan.tol * (1 + np.linalg.norm(theta_prev, axis=1)))
+            theta[live[step.passed]] = step.theta[step.passed]
+            converged[live[hit]] = True
+            keep, theta_prev = step.passed & ~hit, step.theta
         return theta, converged
 
     def resume(self, plan: "FitPlan", theta: np.ndarray) -> BatchFit:
@@ -401,9 +467,12 @@ class BatchGmm:
         theta, omega, s1, s = fit.theta, fit.omega, fit.first, fit.final
         D = np.zeros((self.R, k, k))
         V_w = C = None
+        g = self.g_obs(theta) if plan.kind == "two-step" else fit.g_w     # g_i(theta)
+        finite = np.isfinite(g).all(axis=(1, 2)) & np.isfinite(omega).all(axis=(1, 2))
+        status.flag(~finite, Reason.EFFICIENT_WEIGHT_NOT_PD, np.inf)
 
         if plan.kind != "iterated":
-            g = g1 = fit.g_w                   # g_i(theta) too for one-step fits
+            g1 = fit.g_w
             V1_conv = _sandwich(s1.M_inv, np.swapaxes(s1.aG, 1, 2) @ omega @ s1.aG)
             m1 = self._m_contrib(g1, s1.aG, _masked_solve(fit.w0, g1.mean(axis=1), status.ok),
                                  fit.w0_obs)
@@ -413,7 +482,6 @@ class BatchGmm:
 
         if plan.kind != "one-step":
             g_w = fit.g_w
-            g = self.g_obs(theta) if plan.kind == "two-step" else g_w
             u = _masked_solve(omega, g.mean(axis=1), status.ok)
             D = self._d_hat(g_w, s.aG, u, s.M_inv, plan.centered)
             Dt = np.swapaxes(D, 1, 2)
@@ -430,7 +498,9 @@ class BatchGmm:
 
         elif plan.kind == "iterated":
             eye_d = np.eye(k)[None] - D
-            cond = np.linalg.cond(eye_d)
+            fin = status.ok & np.isfinite(eye_d).all(axis=(1, 2))
+            cond = np.where(fin, np.linalg.cond(np.where(fin[:, None, None], eye_d, np.eye(k))),
+                            np.inf)
             status.flag(~(cond <= COND_LIMIT), Reason.ILL_CONDITIONED_CORRECTION, cond)
             ok = status.ok[:, None, None]
             V_w = _sandwich(np.linalg.inv(np.where(ok, eye_d, np.eye(k)[None])), s.M_inv)
@@ -448,12 +518,14 @@ class BatchGmm:
 
     def j_stat(self, fit: BatchFit, g: Optional[np.ndarray] = None) -> np.ndarray:
         """J = n g_n(theta)' Omega^-1 g_n(theta) with Omega = ``fit.omega``;
-        rows whose Omega is not positive definite are flagged. ``g`` passes
-        g_i(theta) when the caller has it."""
+        rows whose Omega is not positive definite, or whose J is not finite,
+        are flagged. ``g`` passes g_i(theta) when the caller has it."""
         if fit.plan.kind == "one-step":     # the other kinds have solved against omega
-            self._check_pd(fit.omega, fit.status, Reason.EFFICIENT_WEIGHT_NOT_PD, fit.status.ok)
+            self._check_pd(fit.omega, fit.status, Reason.EFFICIENT_WEIGHT_NOT_PD)
         g_n = (self.g_obs(fit.theta) if g is None else g).mean(axis=1)
-        return self.n * (g_n * _masked_solve(fit.omega, g_n, fit.status.ok)).sum(axis=1)
+        j = self.n * (g_n * _masked_solve(fit.omega, g_n, fit.status.ok)).sum(axis=1)
+        fit.status.flag(~np.isfinite(j), Reason.EFFICIENT_WEIGHT_NOT_PD, np.inf)
+        return j
 
     def run(self, plan: "FitPlan", compute_j: bool = False) -> BatchResult:
         """Fit ``plan`` on every replication and compute all variance kinds."""
@@ -467,9 +539,9 @@ class BatchGmm:
         (R, q, q), with the third term from ``weight_obs``; returns them with
         the :class:`Status` of the weight check."""
         status = Status(self.R)
-        self._check_pd(weight, status, Reason.PRELIMINARY_WEIGHT_NOT_PD, status.ok)
+        self._check_pd(weight, status, Reason.PRELIMINARY_WEIGHT_NOT_PD)
         g = self.g_obs(theta)
-        aG = _masked_solve(weight, self.G_n, status.ok)
+        aG = self._weight_solve(weight, self.G_n, status, Reason.PRELIMINARY_WEIGHT_NOT_PD)
         b = _masked_solve(weight, g.mean(axis=1), status.ok)
         return self._m_contrib(g, aG, b, weight_obs), status
 

@@ -14,8 +14,11 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from gmmdc import (
     FitPlan,
+    GmmError,
+    IvLocal,
     LinearMomentSystem,
     ReplicationStreams,
+    SingularWeightError,
     WeightSpec,
     build_ab_system,
     build_iv_system,
@@ -24,11 +27,16 @@ from gmmdc import (
     dgp_panel_rc,
     fit,
     j_test,
+    m_contributions,
     mr_bootstrap,
+    solve_weighted,
     variance_report,
 )
-from gmmdc._batch import BatchGmm, Reason
+from gmmdc import _batch
+from gmmdc._batch import FATAL_REASONS, BatchGmm, Reason
+from gmmdc.inference import bootstrap_rng
 from gmmdc.linmoment import WeightFactors
+from gmmdc.montecarlo import _BOOT_SEED_BLOCK, draw_system
 
 
 def _systems():
@@ -100,6 +108,86 @@ def test_batch_flags_singular_replications():
     assert res.status.reason[0] == Reason.OK
     assert res.status.reason[1] == Reason.PRELIMINARY_WEIGHT_NOT_PD
     assert np.isfinite(res.se_dc[0]).all()
+
+
+@pytest.mark.parametrize("kind", ["one-step", "two-step", "iterated"])
+@pytest.mark.parametrize("scaled", ["h", "Z_obs"])
+def test_overflowing_system_is_a_fatal_row(kind, scaled):
+    """A system whose weight or moments overflow to inf gets a fatal reason
+    with condition number inf; its clean neighbour is untouched, and the
+    R = 1 views raise a GmmError."""
+    y, X, Z = dgp_iv(60, 0.5, ReplicationStreams(55, 0))
+    clean = build_iv_system(y, X, Z)
+    parts = {"h": clean.h, "G_obs": clean.G_obs, "Z_obs": clean.Z_obs, "H": clean.H}
+    parts[scaled] = parts[scaled] * 1e160
+    bad = LinearMomentSystem(**parts)
+    plan = FitPlan(kind)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = BatchGmm.from_stack([clean, bad]).run(plan, compute_j=True)
+        alone = BatchGmm.from_stack([clean]).run(plan, compute_j=True)
+        with pytest.raises(GmmError, match="condition number inf"):
+            variance_report(bad, fit(bad, plan))
+    assert res.ok[0] and res.status.reason[0] == alone.status.reason[0]
+    for name in ("theta", "se_conv", "se_dc", "se_w", "j_stat", "iterations"):
+        if getattr(alone, name) is not None:
+            assert np.array_equal(getattr(res, name)[0], getattr(alone, name)[0]), name
+    expected = (Reason.EFFICIENT_WEIGHT_NOT_PD if scaled == "h"
+                else Reason.PRELIMINARY_WEIGHT_NOT_PD)
+    assert res.status.reason[1] == expected and res.status.cond[1] == np.inf
+
+
+def test_weight_that_lu_finds_singular_fails_in_the_views():
+    """A weight with collinear columns whose eigenvalues still come out
+    positive, but in which LU meets an exact zero pivot, fails as a weight
+    (condition number inf) instead of raising numpy's LinAlgError."""
+    rng = np.random.default_rng(1)
+    for _ in range(200):
+        Z = rng.standard_normal((30, 4))
+        Z[:, -1] = Z[:, 0]
+        weight = Z.T @ Z / 30
+        if np.linalg.eigvalsh(weight)[0] > 0:
+            try:
+                np.linalg.solve(weight, np.ones(4))
+            except np.linalg.LinAlgError:
+                break
+    else:
+        pytest.skip("this LAPACK met no exact zero pivot in 200 draws")
+    sysm = LinearMomentSystem(h=rng.standard_normal((30, 4)),
+                              G_obs=rng.standard_normal((30, 4, 1)))
+    with pytest.raises(SingularWeightError, match="condition number inf"):
+        m_contributions(sysm, np.zeros(1), weight, None)
+    with pytest.raises(SingularWeightError, match="condition number inf"):
+        solve_weighted(sysm, weight)
+
+
+def test_iterated_updates_run_on_live_rows_only(monkeypatch):
+    """Bootstrap stacks where a few resamples never converge: once the others
+    have frozen, every update forms Omega for the stuck rows only, and each
+    row's estimate, iteration count and chain equal its own R = 1 fit."""
+    sizes = []
+    omega = _batch._omega
+    monkeypatch.setattr(_batch, "_omega", lambda g, centered: sizes.append(len(g))
+                        or omega(g, centered))
+    plan = FitPlan.iterated()
+    for r in (0, 2):
+        sysm = draw_system(IvLocal(n=30, alpha0=0.0), ReplicationStreams(12, r))
+        seed = int(np.random.SeedSequence((12, r, _BOOT_SEED_BLOCK)).generate_state(1)[0])
+        idx = np.array([bootstrap_rng(seed, b).integers(0, sysm.n, size=sysm.n)
+                        for b in range(99)])
+        sizes.clear()
+        state = BatchGmm.from_system(sysm, idx).fit(plan)
+        updates, stuck = sizes[:-1], int((~state.converged).sum())   # last: Omega at the estimate
+        assert 0 < stuck < 3 and state.status.ok.all()
+        assert len(updates) == plan.max_iter and updates == sorted(updates, reverse=True)
+        assert sum(size > stuck for size in updates) == state.iterations[state.converged].max() - 1
+        assert updates[-1] == stuck
+        for b in range(len(idx)):
+            one = BatchGmm.from_system(sysm, idx[b:b + 1]).fit(plan)
+            assert np.array_equal(state.theta[b], one.theta[0])
+            assert state.iterations[b] == one.iterations[0]
+            assert state.converged[b] == one.converged[0]
+            chain = [t[b] for t in state.iterates[:state.iterations[b]]]
+            assert np.array_equal(chain, [t[0] for t in one.iterates[:one.iterations[0]]])
 
 
 def test_builder_systems_never_materialize_full_contributions(monkeypatch):
@@ -288,3 +376,67 @@ def test_property_instrument_rescaling_invariance(data, kind, weight, centered):
     for se in (res.se_conv, res.se_dc, res.se_w):
         if se is not None:
             assert _close(res.theta[1] / se[1], res.theta[0] / se[0], 1e-8)
+
+
+HOSTILE = ("clean", "zero", "rank-deficient", "near-singular", "indefinite", "overflow")
+
+
+@st.composite
+def _hostile_stack(draw):
+    """Two to five systems sharing (n, q, k) and the indefinite core
+    H = diag(1, -1): clean ones, whose second factor is zero, mixed with zero,
+    rank-deficient, near-singular, indefinite-weight and overflowing ones."""
+    q = draw(st.integers(2, 5))
+    k = draw(st.integers(1, q))
+    n = draw(st.integers(q + 8, 40))
+    kinds = draw(st.lists(st.sampled_from(HOSTILE), min_size=2, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    G_mean = rng.standard_normal((q, k))
+    systems = []
+    for kind in kinds:
+        h = rng.standard_normal((n, q))
+        G = G_mean + rng.standard_normal((n, q, k))
+        Z = np.stack([rng.standard_normal((n, q)), np.zeros((n, q))], axis=1)
+        if kind == "zero":
+            h, G, Z = 0 * h, 0 * G, 0 * Z
+        elif kind == "rank-deficient":          # collinear columns of G and of Z
+            G[..., -1] = G[..., 0] if k > 1 else 0.0
+            Z[:, 0, -1] = Z[:, 0, 0]
+        elif kind == "near-singular":
+            G[..., -1] = G[..., 0] + 1e-9 * rng.standard_normal((n, q))
+        elif kind == "indefinite":
+            Z[:, 1] = 2.0 * rng.standard_normal((n, q))
+        elif kind == "overflow":
+            scaled = draw(st.sampled_from(("h", "G", "Z")))
+            h, G, Z = [a * 1e160 if name == scaled else a
+                       for name, a in (("h", h), ("G", G), ("Z", Z))]
+        systems.append(LinearMomentSystem(h=h, G_obs=G, Z_obs=Z, H=np.diag([1.0, -1.0])))
+    return systems
+
+
+@_PROPERTY
+@given(_hostile_stack(), st.sampled_from(KINDS), st.sampled_from(WEIGHTS), st.booleans())
+def test_property_hostile_stacks(systems, kind, weight, centered):
+    """A stack of hostile systems raises nothing, every fatal row records the
+    condition number that failed, and each row's reason and (if it passes)
+    numbers are those of the system run alone."""
+    plan = _plan(kind, weight, centered, systems[0].k)
+    compute_j = systems[0].q > systems[0].k
+    with np.errstate(all="ignore"):
+        try:
+            stacked = BatchGmm.from_stack(systems).run(plan, compute_j=compute_j)
+        except np.linalg.LinAlgError:    # a ValueError, but a numerical breakdown
+            raise
+        except (GmmError, ValueError):
+            return
+        fatal = np.isin(stacked.status.reason, FATAL_REASONS)
+        assert (fatal == ~stacked.ok).all()
+        assert not np.isnan(stacked.status.cond[fatal]).any()
+        for r, sysm in enumerate(systems):
+            alone = BatchGmm.from_stack([sysm]).run(plan, compute_j=compute_j)
+            assert stacked.status.reason[r] == alone.status.reason[0]
+            if alone.ok[0]:
+                for a, b in zip(_row(stacked, r), _row(alone, 0)):
+                    assert _close(a, b, 1e-12)
+                if compute_j:
+                    assert _close(stacked.j_stat[r], alone.j_stat[0], 1e-12)
