@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import os
 import sys
@@ -58,6 +59,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gmmdc",
@@ -265,7 +267,7 @@ def cmd_estimate(args) -> dict:
         nulls = parts * sys_.k if len(parts) == 1 else parts
 
     boots = [None] * sys_.k
-    if args.bootstrap:
+    if args.bootstrap is not None:
         with stages("bootstrap"):
             (boots,) = _percentile_t(sys_, args.bootstrap, args.seed, [plan], range(sys_.k),
                                      nulls, [(fit_result.theta, report.se_dc)])
@@ -420,6 +422,7 @@ def _resolve_threads(value: Optional[int]) -> int:
 
 
 def cmd_simulate(args) -> dict:
+    started = time.time()
     cfg = _config_from_args(args)
     threads = _resolve_threads(args.threads)
 
@@ -456,6 +459,7 @@ def cmd_simulate(args) -> dict:
         },
         "estimators": blocks,
         "failure_warning": summary.failure_warning,
+        "provenance": _provenance(cfg.seed, started),
     }
 
 

@@ -40,7 +40,7 @@ PROVENANCE_KEYS = {"gmmdc", "numpy", "scipy", "blas", "OPENBLAS_NUM_THREADS", "s
                    "started_utc", "wall_ms"}
 VARIANCE_KEYS = {"V_conv", "V_w", "V_dc", "D_hat", "Sigma_n", "C_hat", "se_conv", "se_w", "se_dc"}
 
-SIMULATE_KEYS = {"schema", "command", "config", "estimators", "failure_warning"}
+SIMULATE_KEYS = {"schema", "command", "config", "estimators", "failure_warning", "provenance"}
 CONFIG_KEYS = {"design", "replications", "estimators", "seed", "bootstrap_B", "fixed_misspec",
                "centered", "threads"}
 DESIGN_KEYS = {"kind", "alpha0", "n"}
@@ -94,3 +94,5 @@ def test_simulate_json_keeps_its_keys(tmp_path):
     for block in result["estimators"].values():
         assert ESTIMATOR_KEYS <= set(block)
         assert block["failures"] == sum(block["failure_reasons"].values())
+    assert PROVENANCE_KEYS <= set(result["provenance"])
+    assert result["provenance"]["seed"] == 3

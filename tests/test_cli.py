@@ -129,10 +129,37 @@ class TestEstimateCommand:
             main(["estimate", "iv", "--data", str(path), "--y", "y",
                   "--x", x_cols, "--z", z_cols, "--bootstrap", "999",
                   "--seed", "7", "--json", str(out)])
-            result = json.loads(out.read_text())
-            del result["timings"], result["provenance"]     # the run's clock and host
-            outputs.append(json.dumps(result))
+            outputs.append(json.dumps(_run_free(out)))
         assert outputs[0] == outputs[1]
+
+    def test_bootstrap_below_99_exits_2(self, iv_csv, capsys):
+        path, x_cols, z_cols, _ = iv_csv
+        for B in ("0", "50", "-3"):
+            code = main(["estimate", "iv", "--data", str(path), "--y", "y", "--x", x_cols,
+                         "--z", z_cols, "--bootstrap", B])
+            assert code == 2, B
+            assert "B must be at least 99" in capsys.readouterr().err
+
+    def test_one_parser_serves_every_call(self, iv_csv, tmp_path, capsys):
+        path, x_cols, z_cols, _ = iv_csv
+        base = ["estimate", "iv", "--data", str(path), "--y", "y", "--x", x_cols,
+                "--z", z_cols]
+        calls = [base + ["--centered", "--bootstrap", "199"], base,
+                 base + ["--estimator", "four-step"], base + ["--bootstrap", "199"]]
+        assert cli._build_parser() is cli._build_parser()
+        for i, argv in enumerate(calls):
+            out = tmp_path / f"in{i}.json"
+            if "four-step" in argv:
+                with pytest.raises(SystemExit) as exc:
+                    main(argv + ["--json", str(out)])
+                assert exc.value.code == 2
+                assert "invalid choice" in capsys.readouterr().err
+                continue
+            assert main(argv + ["--json", str(out)]) == 0
+            fresh = tmp_path / f"fresh{i}.json"
+            subprocess.run([sys.executable, "-m", "gmmdc", *argv, "--json", str(fresh)],
+                           capture_output=True, check=True)
+            assert _run_free(out) == _run_free(fresh)
 
     def test_bootstrap_shares_one_stack_across_coefficients(self, tmp_path, monkeypatch):
         y, X, Z = dgp_iv(80, 0.3, ReplicationStreams(5, 2))
@@ -239,15 +266,19 @@ def _write_rows(path, header, rows):
         writer.writerows(rows)
 
 
+def _run_free(path):
+    """An estimate JSON file without the run's clock and host."""
+    result = json.loads(path.read_text())
+    del result["timings"], result["provenance"]
+    return result
+
+
 def _estimate_panel(path, tmp_path):
     """The estimate JSON of a panel file, without the run-specific timings and provenance."""
     out = tmp_path / "out.json"
     assert main(["estimate", "panel", "--data", str(path), "--id", "id", "--time", "time",
                  "--y", "y", "--x", "x", "--json", str(out)]) == 0
-    result = json.loads(out.read_text())
-    result.pop("timings", None)
-    result.pop("provenance", None)
-    return result
+    return _run_free(out)
 
 
 class TestCsvReader:
