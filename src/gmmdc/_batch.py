@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, List, NamedTuple, Optional
 import numpy as np
 
 from .errors import IllConditionedCorrectionError, SingularNormalMatrixError, SingularWeightError
-from .linmoment import COND_LIMIT, LinearMomentSystem, WeightFactors, WeightKind, contribution_times
+from .linmoment import COND_LIMIT, LinearMomentSystem, WeightFactors, WeightKind
 
 if TYPE_CHECKING:
     from .estimate import FitPlan
@@ -119,7 +119,7 @@ class BatchFit:
     plan: "FitPlan"
     theta: np.ndarray                        # (R, k)
     w0: np.ndarray                           # (R, q, q)
-    w0_obs: object                           # its contributions, as for contribution_times
+    w0_obs: Optional[WeightFactors]          # its contributions (None for the identity)
     g_w: np.ndarray                          # (R, n, q): g_i where omega is evaluated
     omega: np.ndarray                        # (R, q, q)
     first: _Solve
@@ -307,7 +307,7 @@ class BatchGmm:
         g = self.g_obs(np.broadcast_to(plan.w0.theta, (self.R, self.k)))
         if kind is WeightKind.EFFICIENT_CENTERED:
             g = g - g.mean(axis=1, keepdims=True)
-        return _omega(g, False), g
+        return _omega(g, False), WeightFactors.rank_one(g)
 
     def _check_pd(self, weight, status: Status, code: Reason) -> None:
         """Flag ``code`` on the rows with no fatal reason yet whose weight is not
@@ -355,11 +355,12 @@ class BatchGmm:
         M_inv = np.linalg.inv(M_safe)
         return _Solve(theta, aG, M, M_inv, passed)
 
-    def _m_contrib(self, g, aG, b, w_obs):
-        """Influence contributions (R, n, k); ``w_obs`` as for contribution_times."""
+    def _m_contrib(self, g, aG, b, w_obs: Optional[WeightFactors]):
+        """Influence contributions (R, n, k); ``w_obs`` holds the weight's
+        contributions Xi_i, None for the identity, whose term drops."""
         m = g @ aG + np.einsum("rnqk,rq->rnk", self.G, b)
         if w_obs is not None:
-            m = m - contribution_times(w_obs, b) @ aG
+            m = m - w_obs.times(b) @ aG
         return m
 
     def _d_hat(self, g_weight, aG, u, M_inv, centered):
@@ -487,7 +488,7 @@ class BatchGmm:
             Dt = np.swapaxes(D, 1, 2)
             if plan.centered:
                 g_w = g_w - g_w.mean(axis=1, keepdims=True)
-            m = self._m_contrib(g, s.aG, u, g_w)
+            m = self._m_contrib(g, s.aG, u, WeightFactors.rank_one(g_w))
             Sigma = _gram(m, m)
             V_conv = s.M_inv
 

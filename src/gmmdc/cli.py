@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import functools
 import json
 import os
@@ -59,6 +60,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     return 0
 
 
+def _names(text: str) -> List[str]:
+    return text.split(",")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -100,18 +105,20 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--json", default=None, help="write the JSON mirror to this path")
 
+    # The dests are the field names of StudyConfig and the designs, which
+    # _config_from_args reads them by.
     sim = sub.add_parser("simulate", help="run a Monte Carlo study")
     sim.add_argument("--config", default=None, help="JSON study configuration file")
-    sim.add_argument("--design", choices=["iv", "panel-rc", "panel-lag"], default=None)
+    sim.add_argument("--design", choices=list(_DESIGNS), default=None)
     sim.add_argument("--n", type=int, default=None, help="sample size (iv design)")
     sim.add_argument("--N", type=int, default=None, help="individuals (panel designs)")
     sim.add_argument("--T", type=int, default=None, help="periods (panel designs)")
     sim.add_argument("--alpha0", type=float, default=0.0)
-    sim.add_argument("--reps", type=int, default=1000)
+    sim.add_argument("--reps", dest="replications", metavar="REPS", type=int, default=1000)
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--estimators", default="one,two,iter")
+    sim.add_argument("--estimators", type=_names, default="one,two,iter")
     sim.add_argument("--bootstrap-B", type=int, default=None)
-    sim.add_argument("--bootstrap-estimators", default=None)
+    sim.add_argument("--bootstrap-estimators", type=_names, default=None)
     sim.add_argument("--fixed-misspec", action="store_true")
     sim.add_argument("--centered", action="store_true")
     sim.add_argument("--threads", type=int, default=None,
@@ -362,54 +369,68 @@ def _print_estimate_table(result: dict) -> None:
 # simulate
 
 
-def _design_from_dict(d: dict):
-    kind = d.get("kind")
-    if kind == "iv":
-        return IvLocal(n=int(d["n"]), alpha0=float(d.get("alpha0", 0.0)))
-    if kind == "panel-rc":
-        return PanelRandomCoef(N=int(d["N"]), T=int(d["T"]), alpha0=float(d.get("alpha0", 0.0)))
-    if kind == "panel-lag":
-        return PanelLagMiss(N=int(d["N"]), T=int(d["T"]), alpha0=float(d.get("alpha0", 0.0)))
-    raise DataError(f"unknown design kind {kind!r}")
+#: Study designs by ``kind``; a design's size fields are its fields but ``alpha0``.
+_DESIGNS = {cls.label: cls for cls in (IvLocal, PanelRandomCoef, PanelLagMiss)}
+_JSON_TYPES = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
+               list: "a list of names", dict: "an object"}
+_REQUIRED = object()
+
+
+def _field(d: dict, name: str, kind: type, default=_REQUIRED):
+    """Study field ``name`` ("design.n" is the design's "n"), a JSON value of
+    type ``kind`` (a bool is no number); a null or absent field is ``default``."""
+    value = d.get(name.rsplit(".", 1)[-1])
+    if value is None:
+        if default is _REQUIRED:
+            raise DataError(f"study field {name!r} is required")
+        return default
+    if (not isinstance(value, (int, float) if kind is float else kind)
+            or isinstance(value, bool) != (kind is bool)
+            or kind is list and not all(isinstance(x, str) for x in value)):
+        raise DataError(f"study field {name!r} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
+def _study_config(raw) -> StudyConfig:
+    """The study a dict describes: a ``--config`` file, the simulate flags or
+    the simulate JSON's ``config`` block, which has the same fields."""
+    if not isinstance(raw, dict):
+        raise DataError(f"a study configuration must be a JSON object, got {type(raw).__name__}")
+    d = _field(raw, "design", dict)
+    cls = _DESIGNS.get(_field(d, "design.kind", str))
+    if cls is None:
+        raise DataError(f"unknown design kind {d['kind']!r}")
+    sizes = {f.name: _field(d, f"design.{f.name}", int)
+             for f in dataclasses.fields(cls) if f.name != "alpha0"}
+    return StudyConfig(
+        design=cls(alpha0=float(_field(d, "design.alpha0", float, 0.0)), **sizes),
+        replications=_field(raw, "replications", int),
+        estimators=tuple(_field(raw, "estimators", list, ["one", "two", "iter"])),
+        seed=_field(raw, "seed", int, 0),
+        bootstrap_B=_field(raw, "bootstrap_B", int, None),
+        bootstrap_estimators=tuple(_field(raw, "bootstrap_estimators", list, [])) or None,
+        fixed_misspec=_field(raw, "fixed_misspec", bool, False),
+        centered=_field(raw, "centered", bool, False),
+    )
+
+
+def _study_dict(cfg: StudyConfig) -> dict:
+    """The fields of ``cfg``, as :func:`_study_config` reads them."""
+    d = dataclasses.asdict(cfg)
+    return {**d, "design": {"kind": cfg.design.label, "alpha0": cfg.design.alpha0, **d["design"]}}
 
 
 def _config_from_args(args) -> StudyConfig:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        return StudyConfig(
-            design=_design_from_dict(raw["design"]),
-            replications=int(raw["replications"]),
-            estimators=tuple(raw.get("estimators", ("one", "two", "iter"))),
-            seed=int(raw.get("seed", 0)),
-            bootstrap_B=raw.get("bootstrap_B"),
-            bootstrap_estimators=tuple(raw["bootstrap_estimators"])
-            if raw.get("bootstrap_estimators") else None,
-            fixed_misspec=bool(raw.get("fixed_misspec", False)),
-            centered=bool(raw.get("centered", False)),
-        )
+            return _study_config(json.load(fh))
     if args.design is None:
         raise DataError("either --config or --design is required")
-    if args.design == "iv":
-        if args.n is None:
-            raise DataError("--n is required for the iv design")
-        design = IvLocal(n=args.n, alpha0=args.alpha0)
-    else:
-        if args.N is None or args.T is None:
-            raise DataError("--N and --T are required for panel designs")
-        cls = PanelRandomCoef if args.design == "panel-rc" else PanelLagMiss
-        design = cls(N=args.N, T=args.T, alpha0=args.alpha0)
-    return StudyConfig(
-        design=design,
-        replications=args.reps,
-        estimators=tuple(args.estimators.split(",")),
-        seed=args.seed,
-        bootstrap_B=args.bootstrap_B,
-        bootstrap_estimators=tuple(args.bootstrap_estimators.split(","))
-        if args.bootstrap_estimators else None,
-        fixed_misspec=args.fixed_misspec,
-        centered=args.centered,
-    )
+    flags = vars(args)
+    raw = {f.name: flags[f.name] for f in dataclasses.fields(StudyConfig)}
+    raw["design"] = {"kind": args.design,
+                     **{f.name: flags[f.name] for f in dataclasses.fields(_DESIGNS[args.design])}}
+    return _study_config(raw)
 
 
 def _resolve_threads(value: Optional[int]) -> int:
@@ -432,14 +453,6 @@ def cmd_simulate(args) -> dict:
     summary = run_study(cfg, threads=threads, progress=progress)
     print(file=sys.stderr)
 
-    design = cfg.design
-    design_dict = {"kind": design.label, "alpha0": design.alpha0}
-    if isinstance(design, IvLocal):
-        design_dict["n"] = design.n
-    else:
-        design_dict["N"] = design.N
-        design_dict["T"] = design.T
-
     keys = ("mean_theta", "sd_theta", "mean_se_conv", "mean_se_w", "mean_se_dc", "reject_conv",
             "reject_w", "reject_dc", "reject_boot", "reject_j", "failures", "bootstrap_failures",
             "sd_degenerate", "nonconverged", "failure_reasons", "bootstrap_resample_failures")
@@ -447,16 +460,7 @@ def cmd_simulate(args) -> dict:
     return {
         "schema": SCHEMA,
         "command": "simulate",
-        "config": {
-            "design": design_dict,
-            "replications": cfg.replications,
-            "estimators": list(cfg.estimators),
-            "seed": cfg.seed,
-            "bootstrap_B": cfg.bootstrap_B,
-            "fixed_misspec": cfg.fixed_misspec,
-            "centered": cfg.centered,
-            "threads": summary.workers,
-        },
+        "config": {**_study_dict(cfg), "threads": summary.workers},
         "estimators": blocks,
         "failure_warning": summary.failure_warning,
         "provenance": _provenance(cfg.seed, started),

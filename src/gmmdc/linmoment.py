@@ -80,11 +80,18 @@ class WeightFactors(NamedTuple):
     """Per-observation weight contributions W(X_i) = Z_i' H Z_i in factored form.
 
     ``Z`` has shape (..., n, e, q), with any leading replication axes, and
-    ``H`` is the symmetric (e, e) core shared by every observation.
+    ``H`` is the symmetric (e, e) core shared by every observation. Every
+    contribution Xi_i of the package takes this form: data-average weights
+    store it, and efficient weights' g_i g_i' are :meth:`rank_one`.
     """
 
     Z: np.ndarray
     H: np.ndarray
+
+    @staticmethod
+    def rank_one(f: np.ndarray) -> "WeightFactors":
+        """Rank-one contributions f_i f_i' of rows f, shape (..., n, q): e = 1, H = [[1]]."""
+        return WeightFactors(f[..., None, :], np.ones((1, 1)))
 
     def mean(self) -> np.ndarray:
         """The mean of W(X_i) over observations, shape (..., q, q), as one GEMM."""
@@ -113,22 +120,6 @@ def full_factors(W: np.ndarray) -> WeightFactors:
     Z = np.concatenate([np.broadcast_to(np.eye(q), W.shape), W], axis=-2)
     half, zero = 0.5 * np.eye(q), np.zeros((q, q))
     return WeightFactors(Z, np.block([[zero, half], [half, zero]]))
-
-
-def contribution_times(weight_obs, b: np.ndarray) -> np.ndarray:
-    """Xi_i b for every observation i, shape (..., n, q).
-
-    ``weight_obs`` holds the per-observation contributions Xi_i of a weight in
-    one of two forms: :class:`WeightFactors`, or rank-one factors f_i with
-    Xi_i = f_i f_i', shape (..., n, q). ``b`` has shape (..., q) with the same
-    leading axes.
-    """
-    if isinstance(weight_obs, WeightFactors):
-        return weight_obs.times(b)
-    w = np.asarray(weight_obs, dtype=float)
-    if w.ndim != b.ndim + 1:
-        raise ValueError("weight_obs must be WeightFactors or (n, q) rank-one factors")
-    return w * (w @ b[..., None])          # f_i (f_i' b)
 
 
 class LinearMomentSystem:
@@ -244,10 +235,9 @@ class LinearMomentSystem:
         """Per-observation contributions Xi(X_i) of a weight specification.
 
         Returns ``None`` for the identity weight (the third term of the
-        influence contributions drops), an (n, q) array of rank-one factors
-        for the efficient kinds (Xi_i = f_i f_i'), and for the data-average
-        weight :class:`WeightFactors` (``Z_obs``, ``H``).
-        :func:`contribution_times` applies either form.
+        influence contributions drops) and :class:`WeightFactors` otherwise:
+        ``Z_obs`` and ``H`` for the data-average weight, the rank-one factors
+        of g_i (centered for the centered kind) for the efficient kinds.
         """
         if spec.kind is WeightKind.IDENTITY:
             return None
@@ -258,7 +248,7 @@ class LinearMomentSystem:
         g = self.g_obs(spec.theta)
         if spec.kind is WeightKind.EFFICIENT_CENTERED:
             g = g - g.mean(axis=0)
-        return g
+        return WeightFactors.rank_one(g)
 
 
 @dataclass(frozen=True)

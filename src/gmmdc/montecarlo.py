@@ -12,10 +12,13 @@ bootstrapped estimators share one set of resamples, keyed the same way.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
@@ -216,10 +219,7 @@ class StudyConfig:
                     raise ValueError(f"bootstrap estimator {est!r} not in estimators")
 
     def plan(self, estimator: str) -> FitPlan:
-        base = _ESTIMATOR_PLANS[estimator]()
-        if self.centered:
-            return FitPlan(base.kind, base.w0, True, base.tol, base.max_iter)
-        return base
+        return dataclasses.replace(_ESTIMATOR_PLANS[estimator](), centered=self.centered)
 
     def wants_bootstrap(self, estimator: str) -> bool:
         if self.bootstrap_B is None:
@@ -344,46 +344,31 @@ def run_study(cfg: StudyConfig, threads: Optional[int] = None,
     ``threads`` > 1 distributes fixed-size replication chunks over a process
     pool of at most :func:`worker_count` workers; chunk boundaries and
     per-replication streams are independent of the worker count, so the
-    summary is a pure function of ``cfg``. Replications that fail numerically
+    summary is a pure function of ``cfg``. Chunks come back in order, and
+    ``progress(done, R)`` is called after each. Replications that fail numerically
     are excluded from the aggregates and counted; iterated fits that stop at
     ``max_iter`` without converging stay in the aggregates and are counted
     as ``nonconverged``.
     """
     R = cfg.replications
-    bounds = [(lo, min(lo + CHUNK_SIZE, R)) for lo in range(0, R, CHUNK_SIZE)]
-    fields = ["ok", "reason", "converged", "theta", "se_conv", "se_dc", "se_w",
-              "rej_conv", "rej_dc", "rej_w", "rej_j", "boot", "boot_failures"]
-    store = {est: {f: np.empty(R) for f in fields} for est in cfg.estimators}
-
-    def place(lo: int, hi: int, records):
-        for est, rec in records.items():
-            for f in fields:
-                store[est][f][lo:hi] = rec[f]
-
-    done = 0
-    workers = worker_count(threads, len(bounds))
-    if workers == 1:
-        for lo, hi in bounds:
-            place(lo, hi, _chunk_records(cfg, lo, hi))
-            done += hi - lo
+    los = range(0, R, CHUNK_SIZE)
+    his = [min(lo + CHUNK_SIZE, R) for lo in los]
+    workers = worker_count(threads, len(los))
+    chunks = []
+    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        run = partial(_chunk_records, cfg)
+        for hi, records in zip(his, pool.map(run, los, his) if pool else map(run, los, his)):
+            chunks.append(records)
             if progress:
-                progress(done, R)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_chunk_records, cfg, lo, hi): (lo, hi)
-                       for lo, hi in bounds}
-            for fut in as_completed(futures):
-                lo, hi = futures[fut]
-                place(lo, hi, fut.result())
-                done += hi - lo
-                if progress:
-                    progress(done, R)
+                progress(hi, R)
+    store = {est: {f: np.concatenate([c[est][f] for c in chunks]) for f in chunks[0][est]}
+             for est in cfg.estimators}
 
     summaries: Dict[str, EstimatorSummary] = {}
     worst_failure_rate = 0.0
     for est in cfg.estimators:
         rec = store[est]
-        ok = rec["ok"].astype(bool)
+        ok = rec["ok"]
         n_ok = int(ok.sum())
         failures = R - n_ok
         worst_failure_rate = max(worst_failure_rate, failures / R)
@@ -410,7 +395,7 @@ def run_study(cfg: StudyConfig, threads: Optional[int] = None,
             bootstrap_failures=int((~boot_ok).sum()) if cfg.wants_bootstrap(est) else 0,
             bootstrap_resample_failures=int(rec["boot_failures"][ok][boot_ok].sum()),
             sd_degenerate=sd_degenerate,
-            nonconverged=int((~rec["converged"][ok].astype(bool)).sum()),
+            nonconverged=int((~rec["converged"][ok]).sum()),
             failure_reasons={r.label: int((rec["reason"] == r).sum()) for r in FATAL_REASONS},
         )
     return StudySummary(

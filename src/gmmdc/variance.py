@@ -58,15 +58,21 @@ class VarianceReport:
         raise ValueError(f"unknown standard error kind {kind!r}")
 
 
-def _lift(weight_obs):
-    """Per-observation contributions of one system, with a leading R = 1 axis;
-    full (n, q, q) contributions become their exact factors."""
+def _lift(weight_obs) -> Optional[WeightFactors]:
+    """Per-observation contributions of one system as factors with a leading
+    R = 1 axis: (n, q) rows f_i become rank-one factors, full (n, q, q)
+    contributions their exact factors."""
     if weight_obs is None:
         return None
     if isinstance(weight_obs, WeightFactors):
         return WeightFactors(weight_obs.Z[None], weight_obs.H)
     w = np.asarray(weight_obs, dtype=float)[None]
-    return full_factors(w) if w.ndim == 4 else w
+    if w.ndim == 3:
+        return WeightFactors.rank_one(w)
+    if w.ndim == 4:
+        return full_factors(w)
+    raise ValueError("weight_obs must be None, WeightFactors, (n, q) rank-one factors "
+                     "or (n, q, q) contributions")
 
 
 def m_contributions(sys: LinearMomentSystem, theta: np.ndarray, weight: np.ndarray,
@@ -80,11 +86,12 @@ def m_contributions(sys: LinearMomentSystem, theta: np.ndarray, weight: np.ndarr
 
     where Xi is the weight matrix and Xi_i its per-observation contribution.
     ``weight_obs=None`` marks the identity weight, for which the last term
-    drops; an (n, q) array gives rank-one contributions f_i f_i' (efficient
-    weights); :class:`~gmmdc.linmoment.WeightFactors` gives data-average
-    contributions Z_i' H Z_i, applied as Z_i' H (Z_i b) without forming them;
-    an (n, q, q) array gives them in full and is applied through its exact
-    factors (:func:`~gmmdc.linmoment.full_factors`).
+    drops; :class:`~gmmdc.linmoment.WeightFactors` gives contributions
+    Z_i' H Z_i, applied as Z_i' H (Z_i b) without forming them; an (n, q)
+    array gives rank-one contributions f_i f_i' (efficient weights), taken as
+    :meth:`~gmmdc.linmoment.WeightFactors.rank_one`; an (n, q, q) array gives
+    them in full and is applied through its exact factors
+    (:func:`~gmmdc.linmoment.full_factors`).
 
     Returns an (n, k) array whose column means vanish at the fitted estimate
     by the first-order condition.

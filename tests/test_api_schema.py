@@ -41,8 +41,8 @@ PROVENANCE_KEYS = {"gmmdc", "numpy", "scipy", "blas", "OPENBLAS_NUM_THREADS", "s
 VARIANCE_KEYS = {"V_conv", "V_w", "V_dc", "D_hat", "Sigma_n", "C_hat", "se_conv", "se_w", "se_dc"}
 
 SIMULATE_KEYS = {"schema", "command", "config", "estimators", "failure_warning", "provenance"}
-CONFIG_KEYS = {"design", "replications", "estimators", "seed", "bootstrap_B", "fixed_misspec",
-               "centered", "threads"}
+CONFIG_KEYS = {"design", "replications", "estimators", "seed", "bootstrap_B",
+               "bootstrap_estimators", "fixed_misspec", "centered", "threads"}
 DESIGN_KEYS = {"kind", "alpha0", "n"}
 ESTIMATOR_KEYS = {
     "mean_theta", "sd_theta", "mean_se_conv", "mean_se_w", "mean_se_dc", "reject_conv",

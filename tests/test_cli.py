@@ -423,6 +423,39 @@ class TestSimulateCommand:
         assert result["config"]["design"]["kind"] == "panel-lag"
         assert result["config"]["replications"] == 25
 
+    @pytest.mark.parametrize("raw, field", [
+        ({"design": {"kind": "iv", "n": None}, "replications": 5}, "design.n"),
+        ({"design": {"kind": "iv", "n": 60}, "replications": None}, "replications"),
+        ({"design": {"kind": "iv", "n": 60}, "replications": 5, "bootstrap_B": "199"},
+         "bootstrap_B"),
+        ([{"design": {"kind": "iv", "n": 60}, "replications": 5}], "JSON object"),
+        ({"design": {"kind": "iv", "n": 60}, "replications": 5, "estimators": "two"},
+         "estimators"),
+        ({"design": {"kind": ["iv"], "n": 60}, "replications": 5}, "design.kind"),
+    ])
+    def test_malformed_config_exits_2_naming_the_field(self, tmp_path, capsys, raw, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main(["simulate", "--config", str(path), "--threads", "1"]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_config_block_reruns_its_study(self, tmp_path):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["simulate", "--design", "iv", "--n", "60", "--reps", "6", "--seed", "2",
+                     "--estimators", "one,two", "--bootstrap-B", "99",
+                     "--bootstrap-estimators", "two", "--threads", "1",
+                     "--json", str(first)]) == 0
+        result = json.loads(first.read_text())
+        assert result["config"]["bootstrap_estimators"] == ["two"]
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(result["config"]))
+        assert main(["simulate", "--config", str(config), "--threads", "1",
+                     "--json", str(second)]) == 0
+        rerun = json.loads(second.read_text())
+        assert rerun["config"] == result["config"]
+        assert rerun["estimators"] == result["estimators"]
+        assert result["estimators"]["one"]["reject_boot"] is None
+
     def test_missing_design_exits_2(self, capsys):
         assert main(["simulate", "--reps", "5"]) == 2
 

@@ -331,6 +331,28 @@ class TestFactoredWeightContributions:
         with pytest.raises(ValueError, match=r"\(n, e, q\)"):
             LinearMomentSystem(h=h, G_obs=G, Z_obs=Z[:, :, :1], H=np.eye(3))
 
+    def test_rank_one_times_is_the_outer_product_form(self, rng):
+        for shape in ((30, 4), (3, 30, 4)):
+            f = rng.standard_normal(shape)
+            b = rng.standard_normal(shape[:-2] + shape[-1:])
+            got = WeightFactors.rank_one(f).times(b)
+            assert np.array_equal(got, f * (f @ b[..., None]))
+
+    @pytest.mark.parametrize("spec", [WeightSpec.efficient_uncentered([0.3]),
+                                      WeightSpec.efficient_centered([0.3])])
+    def test_efficient_weight_obs_are_rank_one_factors(self, spec):
+        sysm = dict(_builder_systems())["iv"]
+        factors = sysm.weight_obs(spec)
+        assert isinstance(factors, WeightFactors)
+        assert np.allclose(factors.mean(), sysm.weight_matrix(spec), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("bad", [np.ones(12), np.ones((1, 12, 3, 3))])
+    def test_weight_obs_of_wrong_rank_rejected(self, rng, bad):
+        sysm = random_system(rng, n=12, q=3, k=1)
+        with pytest.raises(ValueError, match=r"weight_obs must be None, WeightFactors, "
+                                             r"\(n, q\) rank-one factors or \(n, q, q\)"):
+            m_contributions(sysm, np.zeros(1), np.eye(3), bad)
+
     def test_systems_are_immutable(self, rng):
         sysm = random_system(rng)
         with pytest.raises(AttributeError):

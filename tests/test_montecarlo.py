@@ -142,6 +142,14 @@ class TestRunStudy:
         f = fit(sysm, FitPlan.two_step())
         assert block.mean_theta == pytest.approx(float(f.theta[0]), rel=1e-12)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_progress_counts_rise_to_replications(self, threads):
+        cfg = StudyConfig(design=IvLocal(n=40, alpha0=0.0), replications=150,
+                          estimators=("one",), seed=2)
+        calls = []
+        run_study(cfg, threads=threads, progress=lambda done, total: calls.append((done, total)))
+        assert calls == [(64, 150), (128, 150), (150, 150)]
+
     def test_bit_identical_across_worker_counts(self):
         cfg = StudyConfig(design=IvLocal(n=50, alpha0=0.2), replications=150,
                           estimators=("one", "two", "iter"), seed=9,
