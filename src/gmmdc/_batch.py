@@ -59,13 +59,17 @@ _ERRORS = {
 
 
 class Status:
-    """Per-replication :class:`Reason` codes, the condition number behind each
-    fatal one (NaN elsewhere) and ``ok``, the mask of rows with no fatal one."""
+    """Per-replication :class:`Reason` codes and the condition number behind
+    each fatal one (NaN elsewhere)."""
 
     def __init__(self, R: int):
         self.reason = np.zeros(R, dtype=np.int8)
         self.cond = np.full(R, np.nan)
-        self.ok = np.ones(R, dtype=bool)
+
+    @property
+    def ok(self) -> np.ndarray:
+        """(R,) mask of the rows with no fatal reason."""
+        return self.reason < Reason.PRELIMINARY_WEIGHT_NOT_PD
 
     def flag(self, bad: np.ndarray, code: Reason, cond=None) -> None:
         """Record ``code`` on the rows ``bad`` that have no fatal reason yet,
@@ -74,17 +78,13 @@ class Status:
         if not rows.any():
             return
         self.reason[rows] = code
-        if code in FATAL_REASONS:
-            self.ok[rows] = False
         if cond is not None:
             self.cond[rows] = cond[rows] if np.ndim(cond) else cond
 
     def put(self, rows: np.ndarray, sub: "Status") -> None:
         """Record the fatal reasons of ``sub``, the status of the replications ``rows``."""
-        if not sub.ok.all():
-            bad = rows[~sub.ok]
-            self.reason[bad], self.cond[bad] = sub.reason[~sub.ok], sub.cond[~sub.ok]
-            self.ok[bad] = False
+        bad = ~sub.ok
+        self.reason[rows[bad]], self.cond[rows[bad]] = sub.reason[bad], sub.cond[bad]
 
     def raise_for(self, r: int = 0) -> None:
         """Raise the error matching replication ``r``'s fatal reason, if any."""
@@ -348,7 +348,7 @@ class BatchGmm:
         M = _sym(np.swapaxes(self.G_n, 1, 2) @ aG)
         cond = _cond(_eigvalsh(M, status.ok))
         status.flag(~(cond <= COND_LIMIT), Reason.SINGULAR_NORMAL_MATRIX, cond)
-        passed = status.ok.copy()
+        passed = status.ok
         M_safe = np.where(passed[:, None, None], M, np.eye(self.k)[None])
         rhs = np.swapaxes(aG, 1, 2) @ self.h_n[..., None]
         theta = -np.linalg.solve(M_safe, rhs)[..., 0]

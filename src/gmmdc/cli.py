@@ -253,11 +253,7 @@ def cmd_estimate(args) -> dict:
         if args.model == "iv":
             sys_ = build_iv_system(y[:, 0], X, Z)
         else:
-            mode = "ar1" if args.mode == "ar1" else "predetermined"
-            try:
-                sys_ = build_ab_system(panel, mode=mode)
-            except ValueError as exc:
-                raise DataError(str(exc)) from None
+            sys_ = build_ab_system(panel, mode="ar1" if args.mode == "ar1" else "predetermined")
 
     w0 = WeightSpec.identity() if args.weight == "identity" else WeightSpec.data_average()
     plan = FitPlan(args.estimator, w0, centered=args.centered, tol=args.tol)
@@ -310,12 +306,6 @@ def cmd_estimate(args) -> dict:
     except JNotDefinedError:
         j_note = "model is just-identified (q = k); the J test is not defined"
 
-    def matrix(m):
-        return None if m is None else [[float(v) for v in row] for row in np.atleast_2d(m)]
-
-    def vector(v):
-        return None if v is None else list(map(float, v))
-
     return {
         "schema": SCHEMA,
         "command": "estimate",
@@ -331,11 +321,9 @@ def cmd_estimate(args) -> dict:
         "coefficients": coefficients,
         "j_test": j_entry,
         "j_note": j_note,
-        "variance": {
-            **{key: matrix(getattr(report, key))
-               for key in ("V_conv", "V_w", "V_dc", "D_hat", "Sigma_n", "C_hat")},
-            **{key: vector(getattr(report, key)) for key in ("se_conv", "se_w", "se_dc")},
-        },
+        "variance": {key: None if (value := getattr(report, key)) is None else value.tolist()
+                     for key in ("V_conv", "V_w", "V_dc", "D_hat", "Sigma_n", "C_hat",
+                                 "se_conv", "se_w", "se_dc")},
         "timings": stages.ms,
         "provenance": _provenance(args.seed, started),
     }
@@ -391,24 +379,35 @@ def _field(d: dict, name: str, kind: type, default=_REQUIRED):
     return value
 
 
+def _known(d: dict, names: List[str], prefix: str = "") -> None:
+    """Reject the first key of ``d`` that is not one of ``names``."""
+    for key in d:
+        if key not in names:
+            raise DataError(f"unknown study field {prefix + key!r}")
+
+
 def _study_config(raw) -> StudyConfig:
     """The study a dict describes: a ``--config`` file, the simulate flags or
-    the simulate JSON's ``config`` block, which has the same fields."""
+    the simulate JSON's ``config`` block, which has the same fields (its
+    ``threads`` is accepted and ignored)."""
     if not isinstance(raw, dict):
         raise DataError(f"a study configuration must be a JSON object, got {type(raw).__name__}")
+    _known(raw, [f.name for f in dataclasses.fields(StudyConfig)] + ["threads"])
     d = _field(raw, "design", dict)
     cls = _DESIGNS.get(_field(d, "design.kind", str))
     if cls is None:
         raise DataError(f"unknown design kind {d['kind']!r}")
-    sizes = {f.name: _field(d, f"design.{f.name}", int)
-             for f in dataclasses.fields(cls) if f.name != "alpha0"}
+    names = [f.name for f in dataclasses.fields(cls)]
+    _known(d, ["kind"] + names, "design.")
+    sizes = {name: _field(d, f"design.{name}", int) for name in names if name != "alpha0"}
+    boot_ests = _field(raw, "bootstrap_estimators", list, None)
     return StudyConfig(
         design=cls(alpha0=float(_field(d, "design.alpha0", float, 0.0)), **sizes),
         replications=_field(raw, "replications", int),
         estimators=tuple(_field(raw, "estimators", list, ["one", "two", "iter"])),
         seed=_field(raw, "seed", int, 0),
         bootstrap_B=_field(raw, "bootstrap_B", int, None),
-        bootstrap_estimators=tuple(_field(raw, "bootstrap_estimators", list, [])) or None,
+        bootstrap_estimators=None if boot_ests is None else tuple(boot_ests),
         fixed_misspec=_field(raw, "fixed_misspec", bool, False),
         centered=_field(raw, "centered", bool, False),
     )
@@ -453,15 +452,11 @@ def cmd_simulate(args) -> dict:
     summary = run_study(cfg, threads=threads, progress=progress)
     print(file=sys.stderr)
 
-    keys = ("mean_theta", "sd_theta", "mean_se_conv", "mean_se_w", "mean_se_dc", "reject_conv",
-            "reject_w", "reject_dc", "reject_boot", "reject_j", "failures", "bootstrap_failures",
-            "sd_degenerate", "nonconverged", "failure_reasons", "bootstrap_resample_failures")
-    blocks = {est: {key: getattr(s, key) for key in keys} for est, s in summary.estimators.items()}
     return {
         "schema": SCHEMA,
         "command": "simulate",
         "config": {**_study_dict(cfg), "threads": summary.workers},
-        "estimators": blocks,
+        "estimators": {est: dataclasses.asdict(s) for est, s in summary.estimators.items()},
         "failure_warning": summary.failure_warning,
         "provenance": _provenance(cfg.seed, started),
     }

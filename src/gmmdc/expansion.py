@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg as sla
 
 from .linmoment import LinearMomentSystem, WeightSpec
 
@@ -80,7 +79,7 @@ def neumann_inverse(X: np.ndarray, Y: np.ndarray, n: float, q_order: int) -> np.
     cond = np.linalg.cond(X)
     if not np.isfinite(cond) or cond > 1e14:
         raise ValueError(f"X is singular (condition number {cond:.3e})")
-    X_inv = sla.solve(X, np.eye(X.shape[0]))
+    X_inv = np.linalg.solve(X, np.eye(X.shape[0]))
     P = -(X_inv @ Y) / np.sqrt(n)
     out = X_inv.copy()
     for _ in range(q_order):
@@ -108,10 +107,9 @@ class _Deviations:
 
 def _weighted_terms(G, weight, weight_tilde, delta, g_tilde, G_tilde):
     """The five generic expansion pieces for a fixed population weight."""
-    solve = sla.lu_factor(weight)
-    wsolve = lambda b: sla.lu_solve(solve, b)  # noqa: E731
+    wsolve = lambda b: np.linalg.solve(weight, b)  # noqa: E731
     aG = wsolve(G)
-    A = sla.inv(G.T @ aG)
+    A = np.linalg.inv(G.T @ aG)
     w_delta = wsolve(delta)
     w_gt = wsolve(g_tilde)
     eta = -A @ (G.T @ w_delta)

@@ -208,12 +208,16 @@ class StudyConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
+        if not self.estimators:
+            raise ValueError("estimators must not be empty")
         for est in self.estimators:
             if est not in _ESTIMATOR_PLANS:
                 raise ValueError(f"unknown estimator {est!r}")
         if self.bootstrap_B is not None and self.bootstrap_B < 99:
             raise ValueError("bootstrap_B must be at least 99")
         if self.bootstrap_estimators is not None:
+            if not self.bootstrap_estimators:
+                raise ValueError("bootstrap_estimators must not be empty")
             for est in self.bootstrap_estimators:
                 if est not in self.estimators:
                     raise ValueError(f"bootstrap estimator {est!r} not in estimators")

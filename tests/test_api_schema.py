@@ -5,10 +5,11 @@ JSON documents, but removing or renaming one needs a deliberate schema bump.
 The sets below are therefore required subsets, not exact lists.
 """
 
+import dataclasses
 import json
 
 import gmmdc
-from gmmdc import ReplicationStreams, dgp_iv
+from gmmdc import EstimatorSummary, ReplicationStreams, dgp_iv
 from gmmdc.cli import SCHEMA, main
 from test_cli import write_iv_csv
 
@@ -96,3 +97,14 @@ def test_simulate_json_keeps_its_keys(tmp_path):
         assert block["failures"] == sum(block["failure_reasons"].values())
     assert PROVENANCE_KEYS <= set(result["provenance"])
     assert result["provenance"]["seed"] == 3
+
+
+def test_simulate_estimator_block_is_the_summary(tmp_path):
+    """Each estimator block holds every :class:`EstimatorSummary` field, in
+    its order, so a field added there reaches the JSON by itself."""
+    out = tmp_path / "s.json"
+    assert main(["simulate", "--design", "iv", "--n", "60", "--reps", "4", "--seed", "3",
+                 "--threads", "1", "--estimators", "two", "--bootstrap-B", "99",
+                 "--json", str(out)]) == 0
+    block = json.loads(out.read_text())["estimators"]["two"]
+    assert list(block) == [f.name for f in dataclasses.fields(EstimatorSummary)]

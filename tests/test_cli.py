@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
@@ -377,6 +378,32 @@ def test_property_panel_reader_matches_row_by_row_oracle(rows):
         assert g.tobytes() == w.tobytes()
 
 
+@st.composite
+def _study_configs(draw):
+    """Valid study configurations of every design kind, with and without a bootstrap."""
+    cls = draw(st.sampled_from(list(cli._DESIGNS.values())))
+    sizes = {f.name: draw(st.integers(1, 10**6))
+             for f in dataclasses.fields(cls) if f.name != "alpha0"}
+    estimators = draw(st.lists(st.sampled_from(["one", "two", "iter"]), min_size=1, unique=True))
+    boot_ests = st.lists(st.sampled_from(estimators), min_size=1, unique=True).map(tuple)
+    return montecarlo.StudyConfig(
+        design=cls(alpha0=draw(st.floats(allow_nan=False, allow_infinity=False)), **sizes),
+        replications=draw(st.integers(1, 10**6)),
+        estimators=tuple(estimators),
+        seed=draw(st.integers(0, 2**64)),
+        bootstrap_B=draw(st.none() | st.integers(99, 10**5)),
+        bootstrap_estimators=draw(st.none() | boot_ests),
+        fixed_misspec=draw(st.booleans()),
+        centered=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_study_configs())
+def test_property_study_config_round_trips_through_json(cfg):
+    assert cli._study_config(json.loads(json.dumps(cli._study_dict(cfg)))) == cfg
+
+
 class TestSimulateCommand:
     def test_flags_run_and_json_mirror(self, tmp_path, capsys):
         out = tmp_path / "s.json"
@@ -438,6 +465,26 @@ class TestSimulateCommand:
         path.write_text(json.dumps(raw))
         assert main(["simulate", "--config", str(path), "--threads", "1"]) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"design": {"kind": "iv", "n": 60}, "replications": 3, "estimators": ["one", "two"],
+          "bootstrap_B": 99, "bootstrap_estimator": ["two"]},
+         "unknown study field 'bootstrap_estimator'"),
+        ({"design": {"kind": "iv", "n": 60, "N": 5}, "replications": 3},
+         "unknown study field 'design.N'"),
+        ({"design": {"kind": "iv", "n": 60}, "replication": 3},
+         "unknown study field 'replication'"),
+        ({"design": {"kind": "iv", "n": 60}, "replications": 3, "estimators": []},
+         "estimators must not be empty"),
+        ({"design": {"kind": "iv", "n": 60}, "replications": 3, "bootstrap_B": 99,
+          "bootstrap_estimators": []}, "bootstrap_estimators must not be empty"),
+    ])
+    def test_unknown_keys_and_empty_lists_exit_2(self, tmp_path, capsys, raw, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main(["simulate", "--config", str(path), "--threads", "1"]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
 
     def test_config_block_reruns_its_study(self, tmp_path):
         first, second = tmp_path / "a.json", tmp_path / "b.json"

@@ -251,6 +251,13 @@ class TestRunStudy:
             run_study(StudyConfig(design=PanelLagMiss(N=20, T=4, alpha0=0.0),
                                   replications=1, fixed_misspec=True))
 
+    @pytest.mark.parametrize("lists", [{"estimators": ()}, {"bootstrap_estimators": ()}])
+    def test_empty_estimator_lists_are_rejected(self, lists):
+        """An empty list would run nothing, or (``bootstrap_estimators``) every estimator."""
+        with pytest.raises(ValueError, match="must not be empty"):
+            StudyConfig(design=IvLocal(n=50, alpha0=0.0), replications=10, bootstrap_B=99,
+                        **lists)
+
     def test_streams_are_independent_of_block_order(self):
         s = ReplicationStreams(11, 4)
         a_first = s.generator(0).standard_normal(5)

@@ -42,6 +42,15 @@ def test_import_loads_no_scipy_stats():
     assert json.loads(done.stdout) == []
 
 
+def test_import_loads_no_scipy_linalg():
+    """numpy.linalg is the one linear-algebra library gmmdc calls."""
+    code = ("import sys, json, gmmdc, gmmdc.cli; "
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy.linalg'))))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC.parent)}, check=True)
+    assert json.loads(done.stdout) == []
+
+
 def test_scipy_is_imported_at_module_top_only():
     for path in sorted(SRC.glob("*.py")):
         for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
