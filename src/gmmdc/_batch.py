@@ -9,6 +9,14 @@ A replication that fails a check gets a :class:`Reason` code and the
 condition number that failed; its numbers are unusable. The R = 1 views raise
 the matching :class:`~gmmdc.errors.GmmError` instead. The independent oracle
 is the closed forms in ``tests/reference_formulas.py``.
+
+A study chunk or a bootstrap stack runs several plans on one stack. They
+share its first stage: the solve with each preliminary weight, and Omega_n
+and the one-step variance pieces at its estimate, are formed once per stack
+and kept read-only. Iterated updates form Omega_n(theta) from the second
+moments of [g_i(theta1), G_i] anchored at the one-step estimate theta1, not
+from a pass over the observations; Omega_n at the final estimate, and so
+the variance and J, still come from g_i.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from typing import TYPE_CHECKING, List, NamedTuple, Optional
 import numpy as np
 
 from .errors import IllConditionedCorrectionError, SingularNormalMatrixError, SingularWeightError
-from .linmoment import COND_LIMIT, LinearMomentSystem, WeightFactors, WeightKind
+from .linmoment import COND_LIMIT, LinearMomentSystem, WeightFactors, WeightKind, WeightSpec
 
 if TYPE_CHECKING:
     from .estimate import FitPlan
@@ -81,6 +89,11 @@ class Status:
         if cond is not None:
             self.cond[rows] = cond[rows] if np.ndim(cond) else cond
 
+    def copy(self) -> "Status":
+        out = Status(0)
+        out.reason, out.cond = self.reason.copy(), self.cond.copy()
+        return out
+
     def put(self, rows: np.ndarray, sub: "Status") -> None:
         """Record the fatal reasons of ``sub``, the status of the replications ``rows``."""
         bad = ~sub.ok
@@ -113,7 +126,9 @@ class BatchFit:
     from, and ``final`` the solve with it (the two-step's second step;
     ``first`` for one-step fits). ``iterates`` holds
     the estimate after every solve, so replication r's chain is
-    ``iterates[:iterations[r]]``.
+    ``iterates[:iterations[r]]``. ``w0``, ``first`` and, for one- and
+    two-step fits, ``g_w`` and ``omega`` are the stack's shared first stage,
+    and read-only.
     """
 
     plan: "FitPlan"
@@ -229,6 +244,108 @@ def _se(v: Optional[np.ndarray], n: int) -> Optional[np.ndarray]:
     return np.sqrt(np.maximum(np.diagonal(v, axis1=1, axis2=2), 0.0) / n)
 
 
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
+def _check_pd(weight, status: Status, code: Reason) -> None:
+    """Flag ``code`` on the rows with no fatal reason yet whose weight is not
+    positive definite.
+
+    One batched Cholesky factorization clears the positive definite rows.
+    Eigenvalues are computed only for the finite rows it fails on: they
+    decide those rows and give their condition numbers. A non-finite
+    weight fails with condition number inf.
+    """
+    w = _sym(weight)
+    pd = status.ok & np.isfinite(_rowwise(np.linalg.cholesky, w)).all(axis=(1, 2))
+    rest = status.ok & ~pd
+    if rest.any():
+        ev = _eigvalsh(w, rest)
+        pd |= ev[:, 0] > 0.0
+        status.flag(~pd, code, _cond(ev))
+
+
+def _weight_solve(weight, b, status: Status, code: Reason) -> np.ndarray:
+    """W^-1 b on the rows with no fatal reason; a row whose weight LU
+    finds exactly singular gets ``code`` with condition number inf."""
+    x = _masked_solve(weight, b, status.ok)
+    status.flag(~np.isfinite(x).all(axis=(1, 2)), code, np.inf)
+    return x
+
+
+def _solve(h_n: np.ndarray, G_n: np.ndarray, weight, status: Status, code: Reason) -> _Solve:
+    """One weighted solve theta = -(G_n' W^-1 G_n)^-1 G_n' W^-1 h_n from the
+    sample means h_n (R, q) and G_n (R, q, k); see :meth:`BatchGmm.solve`."""
+    _check_pd(weight, status, code)
+    aG = _weight_solve(weight, G_n, status, code)
+    M = _sym(np.swapaxes(G_n, 1, 2) @ aG)
+    cond = _cond(_eigvalsh(M, status.ok))
+    status.flag(~(cond <= COND_LIMIT), Reason.SINGULAR_NORMAL_MATRIX, cond)
+    passed = status.ok
+    M_safe = np.where(passed[:, None, None], M, np.eye(G_n.shape[-1])[None])
+    rhs = np.swapaxes(aG, 1, 2) @ h_n[..., None]
+    theta = -np.linalg.solve(M_safe, rhs)[..., 0]
+    M_inv = np.linalg.inv(M_safe)
+    return _Solve(theta, aG, M, M_inv, passed)
+
+
+def _spec_key(spec: WeightSpec) -> tuple:
+    """A preliminary weight's cache key: its kind, and its evaluation point
+    for the efficient kinds."""
+    return spec.kind, None if spec.theta is None else np.asarray(spec.theta, float).tobytes()
+
+
+class _FirstStage(NamedTuple):
+    """The solve with one preliminary weight, shared by every plan of a stack
+    that uses it; each fit starts from a copy of ``status``."""
+
+    w0: np.ndarray                    # (R, q, q)
+    w0_obs: Optional[WeightFactors]   # its contributions (None for the identity)
+    solve: _Solve
+    status: Status                    # the flags the solve raised
+    g: np.ndarray                     # (R, n, q): g_i at the one-step estimate
+
+
+class _OneStep(NamedTuple):
+    """Omega_n at the one-step estimate and the one-step variance pieces,
+    shared by the one- and two-step plans of a stack."""
+
+    omega: np.ndarray    # (R, q, q), centered if the plan is
+    V_conv: np.ndarray   # (R, k, k)
+    m: np.ndarray        # (R, n, k): influence contributions
+    Sigma: np.ndarray    # (R, k, k)
+    V_dc: np.ndarray     # (R, k, k)
+
+
+class _Live(NamedTuple):
+    """The live rows of an iterated fit, with no per-observation array.
+
+    ``S`` holds the second moments of x_i = [g_i(theta1), G_i] (centered if
+    the plan is), laid out as (q, k + 1) blocks: g_i(theta) = x_i c with
+    c = [1, theta - theta1], so Omega_n(theta) = c' S c needs no pass over
+    n. The anchor theta1 keeps the terms of that sum as small as Omega
+    itself: moments of [h_i, G_i] would cancel on a near-perfect fit.
+    """
+
+    S: np.ndarray        # (R, q (k + 1), q (k + 1))
+    theta1: np.ndarray   # (R, k)
+    h_n: np.ndarray      # (R, q)
+    G_n: np.ndarray      # (R, q, k)
+
+    def rows(self, keep: np.ndarray) -> "_Live":
+        return _Live(*(a[keep] for a in self))
+
+    def omega(self, theta: np.ndarray) -> np.ndarray:
+        """Omega_n(theta) (R, q, q) from the second moments."""
+        R, a = theta.shape[0], theta.shape[1] + 1
+        q = self.S.shape[-1] // a
+        c = np.concatenate([np.ones((R, 1)), theta - self.theta1], axis=1)
+        Sc = (self.S.reshape(R, q * a * q, a) @ c[..., None]).reshape(R, q, a, q)
+        return _sym((c[:, None, None, :] @ Sc)[:, :, 0])
+
+
 class BatchGmm:
     """A stack of R linear moment systems sharing shapes (n, q, k).
 
@@ -244,6 +361,8 @@ class BatchGmm:
         self.H = H
         self.R, self.n, self.q = h.shape
         self.k = G.shape[-1]
+        self._first_stages = {}
+        self._one_steps = {}
 
     @cached_property
     def h_n(self) -> np.ndarray:
@@ -252,13 +371,6 @@ class BatchGmm:
     @cached_property
     def G_n(self) -> np.ndarray:
         return self.G.mean(axis=1)
-
-    def _rows(self, keep: np.ndarray) -> "BatchGmm":
-        """The stack of the replications ``keep``, without weight factors; its
-        sample means are carried over, not recomputed."""
-        sub = BatchGmm(self.h[keep], self.G[keep])
-        sub.h_n, sub.G_n = self.h_n[keep], self.G_n[keep]
-        return sub
 
     @classmethod
     def from_system(cls, sys: LinearMomentSystem, idx: np.ndarray) -> "BatchGmm":
@@ -296,42 +408,50 @@ class BatchGmm:
         g = self.g_obs(theta)
         return g, _omega(g, plan.centered)
 
-    def _w0(self, plan: "FitPlan"):
+    def _w0(self, spec: WeightSpec):
         """Preliminary weight (R, q, q) and its per-observation contributions
         (None for the identity, whose influence term drops)."""
-        kind = plan.w0.kind
+        kind = spec.kind
         if kind is WeightKind.IDENTITY:
             return np.broadcast_to(np.eye(self.q), (self.R, self.q, self.q)), None
         if kind is WeightKind.DATA_AVERAGE:
             return self._data_average
-        g = self.g_obs(np.broadcast_to(plan.w0.theta, (self.R, self.k)))
+        g = self.g_obs(np.broadcast_to(spec.theta, (self.R, self.k)))
         if kind is WeightKind.EFFICIENT_CENTERED:
             g = g - g.mean(axis=1, keepdims=True)
         return _omega(g, False), WeightFactors.rank_one(g)
 
-    def _check_pd(self, weight, status: Status, code: Reason) -> None:
-        """Flag ``code`` on the rows with no fatal reason yet whose weight is not
-        positive definite.
+    def _first_stage(self, spec: WeightSpec) -> _FirstStage:
+        """The solve with preliminary weight ``spec``, formed once per stack
+        and weight, its arrays read-only."""
+        key = _spec_key(spec)
+        if key not in self._first_stages:
+            status = Status(self.R)
+            w0, w0_obs = self._w0(spec)
+            s1 = self.solve(w0, status)
+            stage = _FirstStage(w0, w0_obs, s1, status, self.g_obs(s1.theta))
+            _read_only(w0, *s1, status.reason, status.cond, stage.g)
+            self._first_stages[key] = stage
+        return self._first_stages[key]
 
-        One batched Cholesky factorization clears the positive definite rows.
-        Eigenvalues are computed only for the finite rows it fails on: they
-        decide those rows and give their condition numbers. A non-finite
-        weight fails with condition number inf.
-        """
-        w = _sym(weight)
-        pd = status.ok & np.isfinite(_rowwise(np.linalg.cholesky, w)).all(axis=(1, 2))
-        rest = status.ok & ~pd
-        if rest.any():
-            ev = _eigvalsh(w, rest)
-            pd |= ev[:, 0] > 0.0
-            status.flag(~pd, code, _cond(ev))
-
-    def _weight_solve(self, weight, b, status: Status, code: Reason) -> np.ndarray:
-        """W^-1 b on the rows with no fatal reason; a row whose weight LU
-        finds exactly singular gets ``code`` with condition number inf."""
-        x = _masked_solve(weight, b, status.ok)
-        status.flag(~np.isfinite(x).all(axis=(1, 2)), code, np.inf)
-        return x
+    def _one_step(self, plan: "FitPlan") -> _OneStep:
+        """Omega_n at the one-step estimate and the one-step variance pieces,
+        formed once per stack, preliminary weight and centering, read-only.
+        The weight solve of m's third term uses the first stage's mask, so a
+        row that fails later keeps the numbers of a row that did not."""
+        key = (*_spec_key(plan.w0), plan.centered)
+        if key not in self._one_steps:
+            stage = self._first_stage(plan.w0)
+            s1, g1 = stage.solve, stage.g
+            omega = _omega(g1, plan.centered)
+            V_conv = _sandwich(s1.M_inv, np.swapaxes(s1.aG, 1, 2) @ omega @ s1.aG)
+            b = _masked_solve(stage.w0, g1.mean(axis=1), stage.status.ok)
+            m = self._m_contrib(g1, s1.aG, b, stage.w0_obs)
+            Sigma = _gram(m, m)
+            one = _OneStep(omega, V_conv, m, Sigma, _sandwich(s1.M_inv, Sigma))
+            _read_only(*one)
+            self._one_steps[key] = one
+        return self._one_steps[key]
 
     def solve(self, weight, status: Status,
               code: Reason = Reason.PRELIMINARY_WEIGHT_NOT_PD) -> _Solve:
@@ -343,17 +463,7 @@ class BatchGmm:
         here or before, are solved against identity matrices and marked
         False in ``passed``.
         """
-        self._check_pd(weight, status, code)
-        aG = self._weight_solve(weight, self.G_n, status, code)
-        M = _sym(np.swapaxes(self.G_n, 1, 2) @ aG)
-        cond = _cond(_eigvalsh(M, status.ok))
-        status.flag(~(cond <= COND_LIMIT), Reason.SINGULAR_NORMAL_MATRIX, cond)
-        passed = status.ok
-        M_safe = np.where(passed[:, None, None], M, np.eye(self.k)[None])
-        rhs = np.swapaxes(aG, 1, 2) @ self.h_n[..., None]
-        theta = -np.linalg.solve(M_safe, rhs)[..., 0]
-        M_inv = np.linalg.inv(M_safe)
-        return _Solve(theta, aG, M, M_inv, passed)
+        return _solve(self.h_n, self.G_n, weight, status, code)
 
     def _m_contrib(self, g, aG, b, w_obs: Optional[WeightFactors]):
         """Influence contributions (R, n, k); ``w_obs`` holds the weight's
@@ -385,43 +495,61 @@ class BatchGmm:
         The two-step estimator reweights with the second-moment matrix at the
         one-step estimate; the iterated estimator repeats that update until
         the step is below ``tol * (1 + ||previous||)`` or ``max_iter`` updates
-        are spent, which leaves the reason ``NOT_CONVERGED``.
+        are spent, which leaves the reason ``NOT_CONVERGED``. The plans of a
+        stack share its first stage (the preliminary solve, and Omega_n at
+        the one-step estimate), so only the first plan with a given
+        preliminary weight solves with it; each fit starts from a copy of the
+        flags that solve raised.
         """
-        status = Status(self.R)
-        w0, w0_obs = self._w0(plan)
-        first = final = self.solve(w0, status)
+        stage = self._first_stage(plan.w0)
+        status = stage.status.copy()
+        first = final = stage.solve
         theta, iterates = first.theta, [first.theta]
         converged = np.ones(self.R, dtype=bool)
         iterations = np.ones(self.R, dtype=int)
         if plan.kind == "iterated":
-            theta, converged = self._iterate(plan, theta, status, iterates, iterations)
+            theta, converged = self._iterate(plan, stage, status, iterates, iterations)
             status.flag(~converged, Reason.NOT_CONVERGED)
-        g_w, omega = self._efficient(plan, theta)
+        g_w, omega = self._j_weight(plan, theta)
         if plan.kind != "one-step":
             final = self.solve(omega, status, Reason.EFFICIENT_WEIGHT_NOT_PD)
         if plan.kind == "two-step":
             theta = final.theta
             iterates.append(theta)
             iterations += 1
-        return BatchFit(plan, theta, w0, w0_obs, g_w, omega, first, final, status, converged,
-                        iterations, iterates)
+        return BatchFit(plan, theta, stage.w0, stage.w0_obs, g_w, omega, first, final, status,
+                        converged, iterations, iterates)
 
-    def _iterate(self, plan, theta1, status, iterates, iterations):
-        """Iterated updates from ``theta1``. A replication freezes once
-        converged or failed; each update solves and re-forms Omega on the live
-        rows only, a stack cut down whenever a row freezes. A frozen row
-        repeats its last iterate."""
+    def _j_weight(self, plan: "FitPlan", theta: np.ndarray):
+        """g_i and Omega_n at the J point: the estimate ``theta`` of an
+        iterated fit, the shared one-step estimate otherwise."""
+        if plan.kind == "iterated":
+            return self._efficient(plan, theta)
+        return self._first_stage(plan.w0).g, self._one_step(plan).omega
+
+    def _iterate(self, plan, stage: _FirstStage, status, iterates, iterations):
+        """Iterated updates from the one-step estimate theta1.
+
+        One GEMM per replication forms the second moments of
+        x_i = [g_i(theta1), G_i] (:class:`_Live`); each update then forms
+        Omega_n(theta) from them instead of from a pass over g_i(theta). A
+        replication freezes once converged or failed; each update solves on
+        the live rows only, a stack cut down whenever a row freezes. A
+        frozen row repeats its last iterate.
+        """
+        theta1 = stage.solve.theta
+        sub = self._live(theta1, stage.g, plan.centered)
         theta = theta1.copy()
         converged = np.zeros(self.R, dtype=bool)
-        live, sub, sub_status, theta_prev, keep = np.arange(self.R), self, status, theta1, status.ok
+        live, sub_status, theta_prev, keep = np.arange(self.R), status, theta1, status.ok
         for _ in range(plan.max_iter):
             if not keep.all():
                 live, theta_prev = live[keep], theta_prev[keep]
-                sub, sub_status = sub._rows(keep), Status(live.size)
+                sub, sub_status = sub.rows(keep), Status(live.size)
                 if not live.size:
                     break
-            step = sub.solve(sub._efficient(plan, theta_prev)[1], sub_status,
-                             Reason.EFFICIENT_WEIGHT_NOT_PD)
+            step = _solve(sub.h_n, sub.G_n, sub.omega(theta_prev), sub_status,
+                          Reason.EFFICIENT_WEIGHT_NOT_PD)
             status.put(live, sub_status)
             iterates.append(iterates[-1].copy())
             iterates[-1][live] = step.theta
@@ -433,16 +561,25 @@ class BatchGmm:
             keep, theta_prev = step.passed & ~hit, step.theta
         return theta, converged
 
+    def _live(self, theta1: np.ndarray, g1: np.ndarray, centered: bool) -> _Live:
+        """Every row as a :class:`_Live` stack anchored at ``theta1``, where
+        the moments are ``g1``: one GEMM per replication."""
+        x = np.concatenate([g1[..., None], self.G], axis=-1)
+        if centered:
+            x -= x.mean(axis=1, keepdims=True)
+        x = x.reshape(self.R, self.n, -1)
+        return _Live(_gram(x, x), theta1, self.h_n, self.G_n)
+
     def resume(self, plan: "FitPlan", theta: np.ndarray) -> BatchFit:
         """The fit state of estimates ``theta`` found earlier by :meth:`fit`
         with ``plan``: the solves and weights the variance stage needs."""
-        status = Status(self.R)
-        w0, w0_obs = self._w0(plan)
-        first = final = self.solve(w0, status)
-        g_w, omega = self._efficient(plan, theta if plan.kind == "iterated" else first.theta)
+        stage = self._first_stage(plan.w0)
+        status = stage.status.copy()
+        first = final = stage.solve
+        g_w, omega = self._j_weight(plan, theta)
         if plan.kind != "one-step":
             final = self.solve(omega, status, Reason.EFFICIENT_WEIGHT_NOT_PD)
-        return BatchFit(plan, theta, w0, w0_obs, g_w, omega, first, final, status)
+        return BatchFit(plan, theta, stage.w0, stage.w0_obs, g_w, omega, first, final, status)
 
     def chain(self, fit: BatchFit):
         """The (estimate, weight) pair of every solve of a one-replication fit."""
@@ -469,21 +606,17 @@ class BatchGmm:
         D = np.zeros((self.R, k, k))
         V_w = C = None
         g = self.g_obs(theta) if plan.kind == "two-step" else fit.g_w     # g_i(theta)
+        g_n = g.mean(axis=1) if compute_j or plan.kind != "one-step" else None
         finite = np.isfinite(g).all(axis=(1, 2)) & np.isfinite(omega).all(axis=(1, 2))
         status.flag(~finite, Reason.EFFICIENT_WEIGHT_NOT_PD, np.inf)
 
         if plan.kind != "iterated":
-            g1 = fit.g_w
-            V1_conv = _sandwich(s1.M_inv, np.swapaxes(s1.aG, 1, 2) @ omega @ s1.aG)
-            m1 = self._m_contrib(g1, s1.aG, _masked_solve(fit.w0, g1.mean(axis=1), status.ok),
-                                 fit.w0_obs)
-            Sigma = _gram(m1, m1)
-            V1_dc = _sandwich(s1.M_inv, Sigma)
+            _, V1_conv, m1, Sigma, V1_dc = self._one_step(plan)
             V_conv, V_dc = V1_conv, V1_dc
 
         if plan.kind != "one-step":
             g_w = fit.g_w
-            u = _masked_solve(omega, g.mean(axis=1), status.ok)
+            u = _masked_solve(omega, g_n, status.ok)
             D = self._d_hat(g_w, s.aG, u, s.M_inv, plan.centered)
             Dt = np.swapaxes(D, 1, 2)
             if plan.centered:
@@ -513,17 +646,18 @@ class BatchGmm:
             theta=theta, V_conv=V_conv, V_dc=V_dc, D_hat=D, Sigma_n=Sigma,
             se_conv=_se(V_conv, n), se_dc=_se(V_dc, n), status=status,
             V_w=V_w, se_w=_se(V_w, n), C_hat=C,
-            j_stat=self.j_stat(fit, g) if compute_j else None,
+            j_stat=self.j_stat(fit, g_n) if compute_j else None,
             converged=fit.converged, iterations=fit.iterations,
         )
 
-    def j_stat(self, fit: BatchFit, g: Optional[np.ndarray] = None) -> np.ndarray:
+    def j_stat(self, fit: BatchFit, g_n: Optional[np.ndarray] = None) -> np.ndarray:
         """J = n g_n(theta)' Omega^-1 g_n(theta) with Omega = ``fit.omega``;
         rows whose Omega is not positive definite, or whose J is not finite,
-        are flagged. ``g`` passes g_i(theta) when the caller has it."""
+        are flagged. ``g_n`` passes g_n(theta) when the caller has it."""
         if fit.plan.kind == "one-step":     # the other kinds have solved against omega
-            self._check_pd(fit.omega, fit.status, Reason.EFFICIENT_WEIGHT_NOT_PD)
-        g_n = (self.g_obs(fit.theta) if g is None else g).mean(axis=1)
+            _check_pd(fit.omega, fit.status, Reason.EFFICIENT_WEIGHT_NOT_PD)
+        if g_n is None:
+            g_n = self.g_obs(fit.theta).mean(axis=1)
         j = self.n * (g_n * _masked_solve(fit.omega, g_n, fit.status.ok)).sum(axis=1)
         fit.status.flag(~np.isfinite(j), Reason.EFFICIENT_WEIGHT_NOT_PD, np.inf)
         return j
@@ -540,9 +674,9 @@ class BatchGmm:
         (R, q, q), with the third term from ``weight_obs``; returns them with
         the :class:`Status` of the weight check."""
         status = Status(self.R)
-        self._check_pd(weight, status, Reason.PRELIMINARY_WEIGHT_NOT_PD)
+        _check_pd(weight, status, Reason.PRELIMINARY_WEIGHT_NOT_PD)
         g = self.g_obs(theta)
-        aG = self._weight_solve(weight, self.G_n, status, Reason.PRELIMINARY_WEIGHT_NOT_PD)
+        aG = _weight_solve(weight, self.G_n, status, Reason.PRELIMINARY_WEIGHT_NOT_PD)
         b = _masked_solve(weight, g.mean(axis=1), status.ok)
         return self._m_contrib(g, aG, b, weight_obs), status
 

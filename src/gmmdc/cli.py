@@ -437,7 +437,10 @@ def _resolve_threads(value: Optional[int]) -> int:
         return value
     env = os.environ.get("GMMDC_THREADS")
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise DataError(f"GMMDC_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 

@@ -208,6 +208,8 @@ class StudyConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
+        if self.fixed_misspec and not isinstance(self.design, IvLocal):
+            raise ValueError("fixed_misspec applies to the IV design only")
         if not self.estimators:
             raise ValueError("estimators must not be empty")
         for est in self.estimators:

@@ -37,6 +37,7 @@ from gmmdc._batch import FATAL_REASONS, BatchGmm, Reason
 from gmmdc.inference import bootstrap_rng
 from gmmdc.linmoment import WeightFactors
 from gmmdc.montecarlo import _BOOT_SEED_BLOCK, draw_system
+from reference_formulas import iv_closed_forms
 
 
 def _systems():
@@ -162,12 +163,18 @@ def test_weight_that_lu_finds_singular_fails_in_the_views():
 
 def test_iterated_updates_run_on_live_rows_only(monkeypatch):
     """Bootstrap stacks where a few resamples never converge: once the others
-    have frozen, every update forms Omega for the stuck rows only, and each
-    row's estimate, iteration count and chain equal its own R = 1 fit."""
-    sizes = []
-    omega = _batch._omega
-    monkeypatch.setattr(_batch, "_omega", lambda g, centered: sizes.append(len(g))
-                        or omega(g, centered))
+    have frozen, every update forms Omega for the stuck rows only, from a
+    live stack that holds no per-observation array, and each row's estimate,
+    iteration count and chain equal its own R = 1 fit."""
+    sizes, live_shapes = [], set()
+    omega = _batch._Live.omega
+
+    def counting_omega(live, theta):
+        sizes.append(len(live.S))
+        live_shapes.update(a.shape for a in live)
+        return omega(live, theta)
+
+    monkeypatch.setattr(_batch._Live, "omega", counting_omega)
     plan = FitPlan.iterated()
     for r in (0, 2):
         sysm = draw_system(IvLocal(n=30, alpha0=0.0), ReplicationStreams(12, r))
@@ -176,8 +183,9 @@ def test_iterated_updates_run_on_live_rows_only(monkeypatch):
                         for b in range(99)])
         sizes.clear()
         state = BatchGmm.from_system(sysm, idx).fit(plan)
-        updates, stuck = sizes[:-1], int((~state.converged).sum())   # last: Omega at the estimate
+        updates, stuck = list(sizes), int((~state.converged).sum())
         assert 0 < stuck < 3 and state.status.ok.all()
+        assert not any(len(shape) > 1 and shape[1] == sysm.n for shape in live_shapes)
         assert len(updates) == plan.max_iter and updates == sorted(updates, reverse=True)
         assert sum(size > stuck for size in updates) == state.iterations[state.converged].max() - 1
         assert updates[-1] == stuck
@@ -258,6 +266,52 @@ def test_data_average_weight_is_formed_once_per_stack(monkeypatch):
     for kind in ("one-step", "two-step", "iterated"):
         assert batch.run(FitPlan(kind), compute_j=True).ok.all()
     assert len(calls) == 1
+
+
+def test_plans_on_a_stack_share_one_preliminary_solve(monkeypatch):
+    """A study's one-, two-step and iterated plans solve with the preliminary
+    weight once per stack; the efficient solves stay one per plan."""
+    codes = []
+    solve = BatchGmm.solve
+
+    def counting_solve(self, weight, status, code=Reason.PRELIMINARY_WEIGHT_NOT_PD):
+        codes.append(code)
+        return solve(self, weight, status, code)
+
+    monkeypatch.setattr(BatchGmm, "solve", counting_solve)
+    batch = BatchGmm.from_stack(_stacks()["iv"])
+    for kind in ("one-step", "two-step", "iterated"):
+        assert batch.run(FitPlan(kind), compute_j=True).ok.all()
+    assert codes.count(Reason.PRELIMINARY_WEIGHT_NOT_PD) == 1
+    assert codes.count(Reason.EFFICIENT_WEIGHT_NOT_PD) == 2
+
+
+def test_iterated_fit_is_anchored_on_a_near_perfect_fit():
+    """y = 3 x + 10 plus heteroskedastic noise of scale 1e-8: Omega_n is about
+    1e-16 while h_i is about 10, so second moments of [h_i, G_i] would cancel
+    to noise. Those of [g_i(theta1), G_i] do not: the iterated fit passes and
+    its estimate and iteration count are the oracle's. The tolerance 1e-12
+    takes it three updates from the anchor."""
+    rng = np.random.default_rng(12)
+    n = 200
+    Z = np.column_stack([np.ones(n), rng.standard_normal((n, 3))])
+    x = Z[:, 1:] @ np.array([0.8, -0.5, 0.4]) + rng.standard_normal(n)
+    X = np.column_stack([x, np.ones(n)])
+    y = 3.0 * x + 10.0 + 1e-8 * (0.5 + np.abs(Z[:, 1])) * rng.standard_normal(n)
+    plan = FitPlan.iterated(tol=1e-12)
+    batch = BatchGmm.from_stack([build_iv_system(y, X, Z)])
+    state = batch.fit(plan)
+    assert batch.variance(state, compute_j=True).ok.all() and state.converged[0]
+    ref = iv_closed_forms(y, X, Z, "iterated", tol=plan.tol)
+    assert state.iterations[0] == 4
+    assert np.allclose(state.theta[0], ref["theta"], rtol=1e-10, atol=0)
+    chain = [iv_closed_forms(y, X, Z, "iterated", tol=plan.tol, max_iter=j)["theta"]
+             for j in range(1, state.iterations[0])]
+    assert np.allclose(chain[-1], ref["theta"], rtol=1e-10, atol=0)
+    for j, (prev, theta) in enumerate(zip([ref["theta1"]] + chain[:-1], chain), 1):
+        step = np.linalg.norm(theta - prev) < plan.tol * (1 + np.linalg.norm(prev))
+        assert step == (j == len(chain))    # the oracle stops where the kernel does
+        assert np.allclose(state.iterates[j][0], theta, rtol=1e-10, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -440,3 +494,48 @@ def test_property_hostile_stacks(systems, kind, weight, centered):
                     assert _close(a, b, 1e-12)
                 if compute_j:
                     assert _close(stacked.j_stat[r], alone.j_stat[0], 1e-12)
+
+
+@_PROPERTY
+@given(_random_stack(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_property_anchored_omega_matches_direct_pass(systems, centered, seed):
+    """Omega_n(theta) from the second moments anchored at theta1 equals the
+    direct pass over g_i(theta), for any theta1 and theta."""
+    batch = BatchGmm.from_stack(systems)
+    rng = np.random.default_rng(seed)
+    theta1, theta = rng.standard_normal((2, batch.R, batch.k))
+    live = batch._live(theta1, batch.g_obs(theta1), centered)
+    got, want = live.omega(theta), _batch._omega(batch.g_obs(theta), centered)
+    for r in range(batch.R):
+        assert _close(got[r], want[r], 1e-12)
+
+
+_RESULT_FIELDS = ("theta", "V_conv", "V_dc", "V_w", "D_hat", "Sigma_n", "C_hat", "se_conv",
+                  "se_dc", "se_w", "j_stat", "converged", "iterations")
+
+
+@_PROPERTY
+@given(st.one_of(_random_stack(), _hostile_stack()), st.permutations(KINDS),
+       st.sampled_from(WEIGHTS), st.lists(st.booleans(), min_size=3, max_size=3))
+def test_property_shared_first_stage_is_invisible(systems, kinds, weight, centered):
+    """Plans run in any order on one stack, sharing its first stage, give
+    bit for bit what each gives on a stack of its own."""
+    compute_j = systems[0].q > systems[0].k
+    plans = [_plan(kind, weight, c, systems[0].k) for kind, c in zip(kinds, centered)]
+    with np.errstate(all="ignore"):
+        try:
+            shared = BatchGmm.from_stack(systems)
+            results = [shared.run(plan, compute_j=compute_j) for plan in plans]
+        except np.linalg.LinAlgError:    # a ValueError, but a numerical breakdown
+            raise
+        except (GmmError, ValueError):
+            return
+        for plan, res in zip(plans, results):
+            alone = BatchGmm.from_stack(systems).run(plan, compute_j=compute_j)
+            assert np.array_equal(res.status.reason, alone.status.reason)
+            assert np.array_equal(res.status.cond, alone.status.cond, equal_nan=True)
+            for name in _RESULT_FIELDS:
+                a, b = getattr(res, name), getattr(alone, name)
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), name

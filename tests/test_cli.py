@@ -393,7 +393,7 @@ def _study_configs(draw):
         seed=draw(st.integers(0, 2**64)),
         bootstrap_B=draw(st.none() | st.integers(99, 10**5)),
         bootstrap_estimators=draw(st.none() | boot_ests),
-        fixed_misspec=draw(st.booleans()),
+        fixed_misspec=cls is montecarlo.IvLocal and draw(st.booleans()),
         centered=draw(st.booleans()),
     )
 
@@ -513,6 +513,25 @@ class TestSimulateCommand:
                      "--seed", "6", "--json", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["config"]["threads"] == 1
+
+    def test_fixed_misspec_with_a_panel_design_exits_2_before_the_study(self, capsys,
+                                                                       monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the study started")
+
+        monkeypatch.setattr(cli, "run_study", refuse)
+        assert main(["simulate", "--design", "panel-rc", "--N", "50", "--T", "4",
+                     "--reps", "130", "--threads", "2", "--fixed-misspec"]) == 2
+        captured = capsys.readouterr()
+        assert "fixed_misspec applies to the IV design only" in captured.err
+        assert captured.out == ""
+
+    def test_threads_env_that_is_not_an_integer_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("GMMDC_THREADS", "abc")
+        assert main(["simulate", "--design", "iv", "--n", "60", "--reps", "5"]) == 2
+        err = capsys.readouterr().err
+        assert "GMMDC_THREADS must be an integer, got 'abc'" in err
+        assert "invalid literal" not in err
 
     def test_threads_report_the_pool_size_used(self, tmp_path):
         # 10 replications make one chunk, so the study runs serially whatever

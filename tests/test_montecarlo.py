@@ -251,6 +251,14 @@ class TestRunStudy:
             run_study(StudyConfig(design=PanelLagMiss(N=20, T=4, alpha0=0.0),
                                   replications=1, fixed_misspec=True))
 
+    @pytest.mark.parametrize("design", [PanelRandomCoef(N=50, T=4, alpha0=0.0),
+                                        PanelLagMiss(N=20, T=4, alpha0=0.0)])
+    def test_fixed_misspec_with_a_panel_design_is_rejected_when_made(self, design):
+        """A panel design has no fixed misspecification; the config says so
+        when it is made, before a study could start a process pool."""
+        with pytest.raises(ValueError, match="fixed_misspec applies to the IV design only"):
+            StudyConfig(design=design, replications=130, fixed_misspec=True)
+
     @pytest.mark.parametrize("lists", [{"estimators": ()}, {"bootstrap_estimators": ()}])
     def test_empty_estimator_lists_are_rejected(self, lists):
         """An empty list would run nothing, or (``bootstrap_estimators``) every estimator."""
