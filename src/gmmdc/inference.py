@@ -4,6 +4,10 @@ misspecification-robust percentile-t bootstrap.
 The bootstrap resamples observation units (individuals for panel systems)
 with replacement, studentizes by the doubly corrected standard error, and
 needs no moment recentering; critical values are symmetric quantiles of |t*|.
+Resample b draws its indices from the Philox stream keyed by (seed, b)
+(:func:`bootstrap_rng`); :func:`bootstrap_draws` draws all B rows of one
+stack at once, bit for bit the same, with the B keys hashed in one
+vectorized pass and one generator re-keyed per row.
 """
 
 from __future__ import annotations
@@ -113,9 +117,106 @@ def j_test(sys: LinearMomentSystem, fit_result: GmmFit) -> TestResult:
 
 
 def bootstrap_rng(seed: int, replication: int) -> np.random.Generator:
-    """Counter-based stream for one bootstrap replication."""
+    """Counter-based stream for one bootstrap replication: Philox keyed by
+    ``SeedSequence((seed, replication, BOOTSTRAP_STREAM))``, counter 0.
+
+    This is the definition of the stream; :func:`bootstrap_draws` draws the
+    same indices for a whole stack of replications.
+    """
     ss = np.random.SeedSequence((int(seed), int(replication), BOOTSTRAP_STREAM))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def bootstrap_draws(seed: int, B: int, n: int) -> np.ndarray:
+    """The (B, n) int64 resample indices of replications 0, ..., B - 1: row b
+    is ``bootstrap_rng(seed, b).integers(0, n, size=n)``, bit for bit.
+
+    The B Philox keys come from one vectorized hash (:func:`_stream_keys`);
+    one generator then draws every row, its state set to row b's key, a zero
+    counter and an empty buffer before the draw.
+    """
+    keys = _stream_keys(_check_seed(seed), np.arange(B), BOOTSTRAP_STREAM)
+    bit_gen = np.random.Philox(0)
+    gen = np.random.Generator(bit_gen)
+    state = bit_gen.state               # a fresh stream's: counter 0, buffer empty
+    out = np.empty((B, n), dtype=np.int64)
+    for b, key in enumerate(keys):
+        state["state"]["key"] = key
+        bit_gen.state = state
+        out[b] = gen.integers(0, n, size=n)
+    return out
+
+
+def _check_seed(seed) -> int:
+    """``seed`` as an int, if it is a non-negative integer (Python or numpy)."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
+# numpy's SeedSequence entropy hash (pool size 4, 32-bit words)
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(x: int) -> list:
+    """A non-negative int as SeedSequence splits it: little-endian 32-bit
+    words, 0 as one word."""
+    words = [x & _MASK32]
+    while x > _MASK32:
+        x >>= 32
+        words.append(x & _MASK32)
+    return words
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix on uint32 arrays, with its running constant:
+    each call xors in the constant, steps it by ``mult`` and multiplies by
+    the new one."""
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const
+        return value ^ value >> 16
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return r ^ r >> 16
+
+
+def _stream_keys(lead: int, counters: np.ndarray, tail: int) -> np.ndarray:
+    """The Philox keys (len(counters), 2) uint64 of the streams
+    ``SeedSequence((lead, c, tail))``, ``generate_state(2, np.uint64)``, for
+    every counter c in [0, 2**32) at once: numpy's entropy hash, one uint32
+    array per entropy word and pool word. ``lead`` and ``tail`` are
+    non-negative ints.
+    """
+    counters = np.asarray(counters)
+    if counters.size and not 0 <= counters.min() <= counters.max() <= _MASK32:
+        raise ValueError("stream counters must lie in [0, 2**32)")
+    head = _words(lead)
+    words = head + [0] + _words(tail)
+    entropy = np.repeat(np.array(words, dtype=np.uint32)[:, None], counters.size, axis=1)
+    entropy[len(head)] = counters
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(entropy[i] if i < len(words) else np.zeros_like(entropy[0]))
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, len(words)):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(entropy[src]))
+    draw = _hasher(_INIT_B, _MULT_B)
+    state = [draw(word).astype(np.uint64) for word in pool]
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
 
 
 def critical_value(t_abs: np.ndarray, alpha: float = 0.05) -> float:
@@ -139,10 +240,12 @@ def mr_bootstrap(sys: LinearMomentSystem, plan: FitPlan, coef: int, B: int,
     ``null_value`` (also dc-studentized) exceeds the symmetric critical
     value. Degenerate resamples are skipped and counted by reason.
 
-    Replication b draws its indices from a stream keyed by (seed, b), so
-    results are reproducible and independent of scheduling. Studies and
-    ``gmmdc estimate`` run all their plans and coefficients on one such set
-    of resamples; this is its one-plan, one-coefficient view.
+    Replication b draws its indices from the stream keyed by (seed, b)
+    (:func:`bootstrap_rng`), so results are reproducible and independent of
+    scheduling; all B rows come from one :func:`bootstrap_draws` call.
+    ``seed`` must be a non-negative integer. Studies and ``gmmdc estimate``
+    run all their plans and coefficients on one such set of resamples; this
+    is its one-plan, one-coefficient view.
     """
     return _unwrap(_percentile_t(sys, B, seed, [plan], [coef], [null_value])[0][0])
 
@@ -163,6 +266,7 @@ def _percentile_t(sys: LinearMomentSystem, B: int, seed: int, plans, coefs, null
     fitted here. Entry [p][j] is the :class:`BootstrapResult` of ``plans[p]``
     and ``coefs[j]``, or the :class:`GmmError` that ended it.
     """
+    _check_seed(seed)
     if B < 99:
         raise ValueError("B must be at least 99")
     if sys.n < 10:
@@ -182,9 +286,7 @@ def _percentile_t(sys: LinearMomentSystem, B: int, seed: int, plans, coefs, null
         if None not in row:
             continue
         if batch is None:
-            draws = np.array([bootstrap_rng(seed, b).integers(0, sys.n, size=sys.n)
-                              for b in range(B)])
-            batch = BatchGmm.from_system(sys, draws)
+            batch = BatchGmm.from_system(sys, bootstrap_draws(seed, B, sys.n))
         result = batch.run(plan)
         reasons = {r.label: int((result.status.reason == r).sum()) for r in FATAL_REASONS}
         for j, (coef, null_value) in enumerate(zip(coefs, nulls)):

@@ -27,7 +27,7 @@ from scipy import special
 from ._batch import FATAL_REASONS, BatchGmm
 from .errors import GmmError
 from .estimate import FitPlan
-from .inference import Z_975, BootstrapResult, _percentile_t
+from .inference import Z_975, BootstrapResult, _check_seed, _percentile_t
 from .inference import mr_bootstrap  # noqa: F401  (kept as a name; perfbench's tracer wraps it)
 from .linmoment import (
     LinearMomentSystem,
@@ -208,6 +208,7 @@ class StudyConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
+        _check_seed(self.seed)
         if self.fixed_misspec and not isinstance(self.design, IvLocal):
             raise ValueError("fixed_misspec applies to the IV design only")
         if not self.estimators:

@@ -141,6 +141,13 @@ class TestEstimateCommand:
             assert code == 2, B
             assert "B must be at least 99" in capsys.readouterr().err
 
+    def test_negative_bootstrap_seed_exits_2(self, iv_csv, capsys):
+        path, x_cols, z_cols, _ = iv_csv
+        code = main(["estimate", "iv", "--data", str(path), "--y", "y", "--x", x_cols,
+                     "--z", z_cols, "--bootstrap", "99", "--seed", "-1"])
+        assert code == 2
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+
     def test_one_parser_serves_every_call(self, iv_csv, tmp_path, capsys):
         path, x_cols, z_cols, _ = iv_csv
         base = ["estimate", "iv", "--data", str(path), "--y", "y", "--x", x_cols,
@@ -436,6 +443,20 @@ class TestSimulateCommand:
                      "--seed", "4", "--threads", "1"])
         assert code == 0
         assert "1 replications" in capsys.readouterr().out
+
+    def test_negative_seed_exits_2_before_a_pool_starts(self, capsys, monkeypatch):
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", None)    # never reached
+        code = main(["simulate", "--design", "iv", "--n", "60", "--reps", "130",
+                     "--seed", "-1", "--threads", "2"])
+        assert code == 2
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+
+    def test_non_integer_config_seed_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"design": {"kind": "iv", "n": 60, "alpha0": 0.0},
+                                    "replications": 3, "seed": 2.5}))
+        assert main(["simulate", "--config", str(path), "--threads", "1"]) == 2
+        assert "'seed'" in capsys.readouterr().err
 
     def test_config_file(self, tmp_path, capsys):
         cfg = {"design": {"kind": "panel-lag", "N": 30, "T": 4, "alpha0": 0.1},

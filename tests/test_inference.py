@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gmmdc import (
     DegenerateVarianceError,
@@ -21,7 +22,7 @@ from gmmdc import (
     variance_report,
 )
 from gmmdc._batch import FATAL_REASONS, BatchGmm
-from gmmdc.inference import _percentile_t, bootstrap_rng
+from gmmdc.inference import _percentile_t, _stream_keys, bootstrap_draws, bootstrap_rng
 from conftest import SHARED_STACK_PLANS, fit_and_twin
 
 
@@ -243,3 +244,47 @@ class TestMrBootstrap:
         res = mr_bootstrap(build_iv_system(y, X, Z), FitPlan.two_step(), 0, 99, seed=2)
         assert len(res.failure_reasons) == len(FATAL_REASONS) + 1
         assert not any(res.failure_reasons.values())
+
+
+_PROPERTY = settings(max_examples=60, deadline=None,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+# SeedSequence splits an int into little-endian 32-bit words, 0 as one word.
+_ENTROPY_WORDS = st.one_of(st.just(0), st.integers(1, 2**32 - 1),
+                           st.integers(2**32, 2**64 - 1), st.integers(2**64, 2**130))
+
+
+@_PROPERTY
+@given(_ENTROPY_WORDS, st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
+       _ENTROPY_WORDS)
+def test_property_stream_keys_match_seed_sequence(lead, counters, tail):
+    keys = _stream_keys(lead, np.array(counters), tail)
+    expected = np.array([np.random.SeedSequence((lead, c, tail)).generate_state(2, np.uint64)
+                         for c in counters])
+    assert keys.dtype == expected.dtype and np.array_equal(keys, expected)
+
+
+class TestBootstrapDraws:
+    @pytest.mark.parametrize("B", [99, 499])
+    @pytest.mark.parametrize("n", [11, 37, 100, 1000])
+    def test_rows_equal_bootstrap_rng_streams(self, B, n):
+        # An odd n leaves half of a 64-bit output unused in every row, which
+        # must not carry over into the next row.
+        rows = np.array([bootstrap_rng(13, b).integers(0, n, size=n) for b in range(B)])
+        draws = bootstrap_draws(13, B, n)
+        assert draws.dtype == rows.dtype == np.int64
+        assert np.array_equal(draws, rows)
+
+    def test_large_and_numpy_seeds(self):
+        for seed in (np.int64(0), np.uint32(2**32 - 1), 2**32, 2**70 + 3):
+            rows = np.array([bootstrap_rng(seed, b).integers(0, 37, size=37) for b in range(99)])
+            assert np.array_equal(bootstrap_draws(seed, 99, 37), rows)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, np.float64(3.0), "3", None, True])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        y, X, Z = dgp_iv(50, 0.0, ReplicationStreams(9, 4))
+        sysm = build_iv_system(y, X, Z)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            mr_bootstrap(sysm, FitPlan.one_step(), 0, 99, seed=seed)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            bootstrap_draws(seed, 99, 50)

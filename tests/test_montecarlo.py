@@ -259,6 +259,13 @@ class TestRunStudy:
         with pytest.raises(ValueError, match="fixed_misspec applies to the IV design only"):
             StudyConfig(design=design, replications=130, fixed_misspec=True)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, np.int64(-3)])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        """A bad seed is rejected when the config is made, before a study could
+        start a process pool."""
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            StudyConfig(design=IvLocal(n=50, alpha0=0.0), replications=130, seed=seed)
+
     @pytest.mark.parametrize("lists", [{"estimators": ()}, {"bootstrap_estimators": ()}])
     def test_empty_estimator_lists_are_rejected(self, lists):
         """An empty list would run nothing, or (``bootstrap_estimators``) every estimator."""
@@ -307,23 +314,23 @@ def _boot_seed(cfg, r):
 class TestSharedBootstrap:
     def test_one_resample_stack_per_replication(self, monkeypatch):
         calls = {"stack": 0, "draw": 0}
-        from_system, rng = BatchGmm.from_system.__func__, inference.bootstrap_rng
+        from_system, draws = BatchGmm.from_system.__func__, inference.bootstrap_draws
 
         def counting_from_system(cls, sysm, idx):
             calls["stack"] += 1
             return from_system(cls, sysm, idx)
 
-        def counting_rng(seed, b):
+        def counting_draws(seed, B, n):
             calls["draw"] += 1
-            return rng(seed, b)
+            return draws(seed, B, n)
 
         monkeypatch.setattr(BatchGmm, "from_system", classmethod(counting_from_system))
-        monkeypatch.setattr(inference, "bootstrap_rng", counting_rng)
+        monkeypatch.setattr(inference, "bootstrap_draws", counting_draws)
         cfg = StudyConfig(design=IvLocal(n=40, alpha0=0.2), replications=5,
                           estimators=("one", "two"), seed=4, bootstrap_B=99)
         summary = run_study(cfg)
         assert all(b.failures == b.bootstrap_failures == 0 for b in summary.estimators.values())
-        assert calls == {"stack": 5, "draw": 5 * 99}
+        assert calls == {"stack": 5, "draw": 5}
 
     @pytest.mark.parametrize("estimators", [
         ("one", "two"), pytest.param(("iter",), marks=pytest.mark.slow)])
