@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
-from typing import TYPE_CHECKING, List, NamedTuple, Optional
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -51,7 +51,18 @@ class Reason(IntEnum):
         return self.name.lower().replace("_", "-")
 
 
-FATAL_REASONS = tuple(r for r in Reason if r >= Reason.PRELIMINARY_WEIGHT_NOT_PD)
+def ok_rows(reason: np.ndarray) -> np.ndarray:
+    """Mask of the rows whose :class:`Reason` code in ``reason`` is not fatal."""
+    return reason < Reason.PRELIMINARY_WEIGHT_NOT_PD
+
+
+FATAL_REASONS = tuple(r for r in Reason if not ok_rows(r))
+
+
+def fatal_counts(reason: np.ndarray) -> Dict[str, int]:
+    """Rows per fatal reason label in ``reason``, in :data:`FATAL_REASONS` order, zeros included."""
+    return {r.label: int((reason == r).sum()) for r in FATAL_REASONS}
+
 
 #: The error each fatal reason raises in the R = 1 views.
 _ERRORS = {
@@ -77,7 +88,7 @@ class Status:
     @property
     def ok(self) -> np.ndarray:
         """(R,) mask of the rows with no fatal reason."""
-        return self.reason < Reason.PRELIMINARY_WEIGHT_NOT_PD
+        return ok_rows(self.reason)
 
     def flag(self, bad: np.ndarray, code: Reason, cond=None) -> None:
         """Record ``code`` on the rows ``bad`` that have no fatal reason yet,
@@ -112,32 +123,28 @@ class _Solve(NamedTuple):
     aG: np.ndarray       # (R, q, k): W^-1 G_n
     M: np.ndarray        # (R, k, k): G_n' W^-1 G_n
     M_inv: np.ndarray
-    passed: np.ndarray   # (R,) rows whose weight and normal matrix passed
 
 
 @dataclass
 class BatchFit:
     """Fitted estimates of a stack: the input of the variance stage.
 
-    ``first`` is the solve with the preliminary weight ``w0`` (its estimate
-    is the one-step estimate). ``omega`` is the second-moment weight at the J
-    point, Omega_n(first.theta) for one- and two-step fits and
-    Omega_n(theta) for iterated fits, ``g_w`` the moments g_i it is built
-    from, and ``final`` the solve with it (the two-step's second step;
-    ``first`` for one-step fits). ``iterates`` holds
-    the estimate after every solve, so replication r's chain is
-    ``iterates[:iterations[r]]``. ``w0``, ``first`` and, for one- and
-    two-step fits, ``g_w`` and ``omega`` are the stack's shared first stage,
-    and read-only.
+    ``stage`` is the stack's shared first stage: the preliminary weight and
+    the solve with it, whose estimate is the one-step estimate. ``omega`` is
+    the second-moment weight at the J point, Omega_n at the one-step
+    estimate for one- and two-step fits and Omega_n(theta) for iterated
+    fits, ``g_w`` the moments g_i it is built from, and ``final`` the solve
+    with it (the two-step's second step; ``stage.solve`` for one-step fits).
+    ``iterates`` holds the estimate after every solve, so replication r's
+    chain is ``iterates[:iterations[r]]``. ``stage`` and, for one- and
+    two-step fits, ``g_w`` and ``omega`` are read-only.
     """
 
     plan: "FitPlan"
     theta: np.ndarray                        # (R, k)
-    w0: np.ndarray                           # (R, q, q)
-    w0_obs: Optional[WeightFactors]          # its contributions (None for the identity)
+    stage: "_FirstStage"
     g_w: np.ndarray                          # (R, n, q): g_i where omega is evaluated
     omega: np.ndarray                        # (R, q, q)
-    first: _Solve
     final: _Solve
     status: Status
     converged: Optional[np.ndarray] = None   # (R,) bool
@@ -283,12 +290,11 @@ def _solve(h_n: np.ndarray, G_n: np.ndarray, weight, status: Status, code: Reaso
     M = _sym(np.swapaxes(G_n, 1, 2) @ aG)
     cond = _cond(_eigvalsh(M, status.ok))
     status.flag(~(cond <= COND_LIMIT), Reason.SINGULAR_NORMAL_MATRIX, cond)
-    passed = status.ok
-    M_safe = np.where(passed[:, None, None], M, np.eye(G_n.shape[-1])[None])
+    M_safe = np.where(status.ok[:, None, None], M, np.eye(G_n.shape[-1])[None])
     rhs = np.swapaxes(aG, 1, 2) @ h_n[..., None]
     theta = -np.linalg.solve(M_safe, rhs)[..., 0]
     M_inv = np.linalg.inv(M_safe)
-    return _Solve(theta, aG, M, M_inv, passed)
+    return _Solve(theta, aG, M, M_inv)
 
 
 def _spec_key(spec: WeightSpec) -> tuple:
@@ -463,8 +469,7 @@ class BatchGmm:
         Rows whose weight is not positive definite, or that LU finds exactly
         singular, get ``code``; those whose normal matrix is non-finite or
         fails the condition limit ``SINGULAR_NORMAL_MATRIX``. Rows that fail,
-        here or before, are solved against identity matrices and marked
-        False in ``passed``.
+        here or before, are solved against identity matrices.
         """
         return _solve(self.h_n, self.G_n, weight, status, code)
 
@@ -506,29 +511,31 @@ class BatchGmm:
         """
         stage = self._first_stage(plan.w0)
         status = stage.status.copy()
-        first = final = stage.solve
-        theta, iterates = first.theta, [first.theta]
-        converged = np.ones(self.R, dtype=bool)
-        iterations = np.ones(self.R, dtype=int)
+        theta, iterates = stage.solve.theta, [stage.solve.theta]
+        converged, iterations = np.ones(self.R, dtype=bool), np.ones(self.R, dtype=int)
         if plan.kind == "iterated":
             theta, converged = self._iterate(plan, stage, status, iterates, iterations)
             status.flag(~converged, Reason.NOT_CONVERGED)
-        g_w, omega = self._j_weight(plan, theta)
+        fit = self._state(plan, stage, status, theta, converged, iterations, iterates)
+        if plan.kind == "two-step":
+            fit.theta = fit.final.theta
+            iterates.append(fit.theta)
+            iterations += 1
+        return fit
+
+    def _state(self, plan: "FitPlan", stage: _FirstStage, status: Status, theta: np.ndarray,
+               *chain) -> BatchFit:
+        """The fit state at ``theta``: g_i and Omega_n at the J point (``theta``
+        if iterated, else the one-step estimate) and the solve with Omega_n,
+        flagged in ``status``; ``chain`` is a fit's convergence and iterates."""
+        if plan.kind == "iterated":
+            g_w, omega = self._efficient(plan, theta)
+        else:
+            g_w, omega = stage.g, self._one_step(plan).omega
+        final = stage.solve
         if plan.kind != "one-step":
             final = self.solve(omega, status, Reason.EFFICIENT_WEIGHT_NOT_PD)
-        if plan.kind == "two-step":
-            theta = final.theta
-            iterates.append(theta)
-            iterations += 1
-        return BatchFit(plan, theta, stage.w0, stage.w0_obs, g_w, omega, first, final, status,
-                        converged, iterations, iterates)
-
-    def _j_weight(self, plan: "FitPlan", theta: np.ndarray):
-        """g_i and Omega_n at the J point: the estimate ``theta`` of an
-        iterated fit, the shared one-step estimate otherwise."""
-        if plan.kind == "iterated":
-            return self._efficient(plan, theta)
-        return self._first_stage(plan.w0).g, self._one_step(plan).omega
+        return BatchFit(plan, theta, stage, g_w, omega, final, status, *chain)
 
     def _iterate(self, plan, stage: _FirstStage, status, iterates, iterations):
         """Iterated updates from the one-step estimate theta1.
@@ -554,14 +561,15 @@ class BatchGmm:
             step = _solve(sub.h_n, sub.G_n, sub.omega(theta_prev), sub_status,
                           Reason.EFFICIENT_WEIGHT_NOT_PD)
             status.put(live, sub_status)
+            passed = sub_status.ok
             iterates.append(iterates[-1].copy())
             iterates[-1][live] = step.theta
-            iterations[live] += step.passed
+            iterations[live] += passed
             size = np.linalg.norm(step.theta - theta_prev, axis=1)
-            hit = step.passed & (size < plan.tol * (1 + np.linalg.norm(theta_prev, axis=1)))
-            theta[live[step.passed]] = step.theta[step.passed]
+            hit = passed & (size < plan.tol * (1 + np.linalg.norm(theta_prev, axis=1)))
+            theta[live[passed]] = step.theta[passed]
             converged[live[hit]] = True
-            keep, theta_prev = step.passed & ~hit, step.theta
+            keep, theta_prev = passed & ~hit, step.theta
         return theta, converged
 
     def _live(self, theta1: np.ndarray, g1: np.ndarray, centered: bool) -> _Live:
@@ -577,17 +585,12 @@ class BatchGmm:
         """The fit state of estimates ``theta`` found earlier by :meth:`fit`
         with ``plan``: the solves and weights the variance stage needs."""
         stage = self._first_stage(plan.w0)
-        status = stage.status.copy()
-        first = final = stage.solve
-        g_w, omega = self._j_weight(plan, theta)
-        if plan.kind != "one-step":
-            final = self.solve(omega, status, Reason.EFFICIENT_WEIGHT_NOT_PD)
-        return BatchFit(plan, theta, stage.w0, stage.w0_obs, g_w, omega, first, final, status)
+        return self._state(plan, stage, stage.status.copy(), theta)
 
     def chain(self, fit: BatchFit):
         """The (estimate, weight) pair of every solve of a one-replication fit."""
         thetas = [t[0] for t in fit.iterates[:fit.iterations[0]]]
-        weights = [np.array(fit.w0[0])]
+        weights = [np.array(fit.stage.w0[0])]
         weights += [self._efficient(fit.plan, t[None])[1][0] for t in thetas[:-1]]
         return list(zip(thetas, weights))
 
@@ -605,7 +608,7 @@ class BatchGmm:
         bread. Failures are added to ``fit.status``.
         """
         plan, status, n, k = fit.plan, fit.status, self.n, self.k
-        theta, omega, s1, s = fit.theta, fit.omega, fit.first, fit.final
+        theta, omega, s1, s = fit.theta, fit.omega, fit.stage.solve, fit.final
         D = np.zeros((self.R, k, k))
         V_w = C = None
         g = self.g_obs(theta) if plan.kind == "two-step" else fit.g_w     # g_i(theta)

@@ -359,8 +359,8 @@ def _print_estimate_table(result: dict) -> None:
 
 #: Study designs by ``kind``; a design's size fields are its fields but ``alpha0``.
 _DESIGNS = {cls.label: cls for cls in (IvLocal, PanelRandomCoef, PanelLagMiss)}
-_JSON_TYPES = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
-               list: "a list of names", dict: "an object"}
+_JSON_TYPES = {int: "an integer", float: "a finite number", bool: "true or false",
+               str: "a string", list: "a list of names", dict: "an object"}
 _REQUIRED = object()
 
 
@@ -374,6 +374,7 @@ def _field(d: dict, name: str, kind: type, default=_REQUIRED):
         return default
     if (not isinstance(value, (int, float) if kind is float else kind)
             or isinstance(value, bool) != (kind is bool)
+            or kind is float and not np.isfinite(value)
             or kind is list and not all(isinstance(x, str) for x in value)):
         raise DataError(f"study field {name!r} must be {_JSON_TYPES[kind]}, got {value!r}")
     return value

@@ -6,7 +6,6 @@ the estimation kernel in :mod:`gmmdc._batch`.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import warnings
 from dataclasses import dataclass, field
@@ -148,6 +147,6 @@ def _fit_state(sys: LinearMomentSystem, fit_result: GmmFit):
     flags do not reach other views."""
     if fit_result._kernel is not None and fit_result._kernel[0] is sys:
         _, batch, state = fit_result._kernel
-        return batch, dataclasses.replace(state, status=copy.deepcopy(state.status))
+        return batch, dataclasses.replace(state, status=state.status.copy())
     batch = BatchGmm.from_stack([sys])
     return batch, batch.resume(fit_result.plan, fit_result.theta[None])

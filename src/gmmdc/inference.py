@@ -19,7 +19,7 @@ from typing import Dict, Optional
 import numpy as np
 from scipy import special
 
-from ._batch import FATAL_REASONS, BatchGmm
+from ._batch import BatchGmm, fatal_counts
 from .errors import DegenerateVarianceError, GmmError, JNotDefinedError
 from .estimate import FitPlan, GmmFit, _fit_state, fit
 from .linmoment import LinearMomentSystem
@@ -123,8 +123,7 @@ def bootstrap_rng(seed: int, replication: int) -> np.random.Generator:
     This is the definition of the stream; :func:`bootstrap_draws` draws the
     same indices for a whole stack of replications.
     """
-    ss = np.random.SeedSequence((int(seed), int(replication), BOOTSTRAP_STREAM))
-    return np.random.Generator(np.random.Philox(ss))
+    return _stream(seed, replication, BOOTSTRAP_STREAM)
 
 
 def bootstrap_draws(seed: int, B: int, n: int) -> np.ndarray:
@@ -147,11 +146,18 @@ def bootstrap_draws(seed: int, B: int, n: int) -> np.ndarray:
     return out
 
 
-def _check_seed(seed) -> int:
-    """``seed`` as an int, if it is a non-negative integer (Python or numpy)."""
+def _check_seed(seed, name: str = "seed") -> int:
+    """``seed`` as an int, if it is a non-negative integer; the error names ``name``."""
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+        raise ValueError(f"{name} must be a non-negative integer, got {seed!r}")
     return int(seed)
+
+
+def _stream(seed, replication, block: int) -> np.random.Generator:
+    """Philox keyed by ``SeedSequence((seed, replication, block))``, counter 0: the
+    stream of every DGP block and bootstrap resample, its counters checked."""
+    key = (_check_seed(seed), _check_seed(replication, "replication"), block)
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
 # numpy's SeedSequence entropy hash (pool size 4, 32-bit words)
@@ -221,6 +227,8 @@ def _stream_keys(lead: int, counters: np.ndarray, tail: int) -> np.ndarray:
 
 def critical_value(t_abs: np.ndarray, alpha: float = 0.05) -> float:
     """Symmetric bootstrap critical value: the ceil((B+1)(1-alpha)) order statistic."""
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     b = t_abs.shape[0]
     if b == 0:
         raise GmmError("no successful bootstrap replications")
@@ -288,7 +296,7 @@ def _percentile_t(sys: LinearMomentSystem, B: int, seed: int, plans, coefs, null
         if batch is None:
             batch = BatchGmm.from_system(sys, bootstrap_draws(seed, B, sys.n))
         result = batch.run(plan)
-        reasons = {r.label: int((result.status.reason == r).sum()) for r in FATAL_REASONS}
+        reasons = fatal_counts(result.status.reason)
         for j, (coef, null_value) in enumerate(zip(coefs, nulls)):
             if row[j] is not None:
                 continue

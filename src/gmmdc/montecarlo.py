@@ -24,10 +24,10 @@ from typing import Dict, Optional, Tuple, Union
 import numpy as np
 from scipy import special
 
-from ._batch import FATAL_REASONS, BatchGmm
+from ._batch import BatchGmm, fatal_counts, ok_rows
 from .errors import GmmError
 from .estimate import FitPlan
-from .inference import Z_975, BootstrapResult, _check_seed, _percentile_t
+from .inference import Z_975, BootstrapResult, _check_seed, _percentile_t, _stream
 from .inference import mr_bootstrap  # noqa: F401  (kept as a name; perfbench's tracer wraps it)
 from .linmoment import (
     LinearMomentSystem,
@@ -58,8 +58,7 @@ class ReplicationStreams:
     replication: int
 
     def generator(self, block: int) -> np.random.Generator:
-        ss = np.random.SeedSequence((int(self.seed), int(self.replication), int(block)))
-        return np.random.Generator(np.random.Philox(ss))
+        return _stream(self.seed, self.replication, block)
 
 
 @dataclass(frozen=True)
@@ -278,7 +277,9 @@ class StudySummary:
 
 
 def _chunk_records(cfg: StudyConfig, lo: int, hi: int) -> Dict[str, Dict[str, np.ndarray]]:
-    """Evaluate replications lo..hi-1 and return per-estimator record arrays.
+    """Evaluate replications lo..hi-1 and return per-estimator record arrays:
+    what the kernel and the bootstrap produced, from which :func:`run_study`
+    derives the usable rows and the rejection rates.
 
     Each replication that a bootstrapped estimator left ``ok`` gets one
     resample stack, run once per such estimator and studentized against that
@@ -288,34 +289,20 @@ def _chunk_records(cfg: StudyConfig, lo: int, hi: int) -> Dict[str, Dict[str, np
     systems = [draw_system(cfg.design, ReplicationStreams(cfg.seed, r), cfg.fixed_misspec)
                for r in reps]
     batch = BatchGmm.from_stack(systems)
-    truth = cfg.design.true_value
     df = batch.q - batch.k
     # the 95% chi-square(df) quantile, as scipy.stats.chi2.ppf computes it
     j_crit = 2.0 * float(special.gammaincinv(df / 2, 0.95)) if df > 0 else np.inf
 
     out: Dict[str, Dict[str, np.ndarray]] = {}
     results = {}
+    R = len(systems)
     for est in cfg.estimators:
-        plan = cfg.plan(est)
-        res = batch.run(plan, compute_j=df > 0)
-        rec: Dict[str, np.ndarray] = {}
-        rec["ok"] = res.ok
-        rec["reason"] = res.status.reason
-        rec["converged"] = res.converged
-        rec["theta"] = res.theta[:, 0]
-        rec["se_conv"] = res.se_conv[:, 0]
-        rec["se_dc"] = res.se_dc[:, 0]
-        rec["se_w"] = res.se_w[:, 0] if res.se_w is not None else np.full(len(systems), np.nan)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rec["rej_conv"] = np.abs(rec["theta"] - truth) > Z_975 * rec["se_conv"]
-            rec["rej_dc"] = np.abs(rec["theta"] - truth) > Z_975 * rec["se_dc"]
-            rec["rej_w"] = np.abs(rec["theta"] - truth) > Z_975 * rec["se_w"]
-        rec["rej_j"] = (res.j_stat > j_crit) if res.j_stat is not None \
-            else np.zeros(len(systems), dtype=bool)
-        rec["boot"] = np.full(len(systems), np.nan)
-        rec["boot_failures"] = np.zeros(len(systems))
-        out[est] = rec
-        results[est] = res
+        res = results[est] = batch.run(cfg.plan(est), compute_j=df > 0)
+        out[est] = {"reason": res.status.reason, "converged": res.converged,
+                    "theta": res.theta[:, 0], "se_conv": res.se_conv[:, 0], "se_dc": res.se_dc[:, 0],
+                    "se_w": res.se_w[:, 0] if res.se_w is not None else np.full(R, np.nan),
+                    "rej_j": res.j_stat > j_crit if res.j_stat is not None else np.zeros(R, bool),
+                    "boot": np.full(R, np.nan), "boot_failures": np.zeros(R)}
 
     boot_ests = [est for est in cfg.estimators if cfg.wants_bootstrap(est)]
     for i, r in enumerate(reps):
@@ -325,7 +312,7 @@ def _chunk_records(cfg: StudyConfig, lo: int, hi: int) -> Dict[str, Dict[str, np
         boot_seed = int(np.random.SeedSequence(
             (cfg.seed, r, _BOOT_SEED_BLOCK)).generate_state(1)[0])
         found = _percentile_t(systems[i], cfg.bootstrap_B, boot_seed,
-                              [cfg.plan(est) for est in ests], [0], [truth],
+                              [cfg.plan(est) for est in ests], [0], [cfg.design.true_value],
                               [(results[est].theta[i], results[est].se_dc[i]) for est in ests])
         for est, (bres,) in zip(ests, found):
             if isinstance(bres, BootstrapResult):   # a GmmError leaves NaN
@@ -375,13 +362,14 @@ def run_study(cfg: StudyConfig, threads: Optional[int] = None,
     worst_failure_rate = 0.0
     for est in cfg.estimators:
         rec = store[est]
-        ok = rec["ok"]
+        ok = ok_rows(rec["reason"])
         n_ok = int(ok.sum())
         failures = R - n_ok
         worst_failure_rate = max(worst_failure_rate, failures / R)
         if n_ok == 0:
             raise GmmError(f"all replications failed for estimator {est!r}")
         theta = rec["theta"][ok]
+        miss = np.abs(theta - cfg.design.true_value)
         sd_degenerate = n_ok < 2
         boot_vals = rec["boot"][ok]
         boot_ok = np.isfinite(boot_vals)
@@ -391,19 +379,19 @@ def run_study(cfg: StudyConfig, threads: Optional[int] = None,
             sd_theta=0.0 if sd_degenerate else float(theta.std(ddof=1)),
             mean_se_conv=float(rec["se_conv"][ok].mean()),
             mean_se_dc=float(rec["se_dc"][ok].mean()),
-            reject_conv=float(rec["rej_conv"][ok].mean()),
-            reject_dc=float(rec["rej_dc"][ok].mean()),
+            reject_conv=float((miss > Z_975 * rec["se_conv"][ok]).mean()),
+            reject_dc=float((miss > Z_975 * rec["se_dc"][ok]).mean()),
             reject_j=float(rec["rej_j"][ok].mean()),
             failures=failures,
             mean_se_w=None if one_step else float(rec["se_w"][ok].mean()),
-            reject_w=None if one_step else float(rec["rej_w"][ok].mean()),
+            reject_w=None if one_step else float((miss > Z_975 * rec["se_w"][ok]).mean()),
             reject_boot=float(boot_vals[boot_ok].mean())
             if cfg.wants_bootstrap(est) and boot_ok.any() else None,
             bootstrap_failures=int((~boot_ok).sum()) if cfg.wants_bootstrap(est) else 0,
             bootstrap_resample_failures=int(rec["boot_failures"][ok][boot_ok].sum()),
             sd_degenerate=sd_degenerate,
             nonconverged=int((~rec["converged"][ok]).sum()),
-            failure_reasons={r.label: int((rec["reason"] == r).sum()) for r in FATAL_REASONS},
+            failure_reasons=fatal_counts(rec["reason"]),
         )
     return StudySummary(
         config=cfg,

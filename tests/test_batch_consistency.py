@@ -33,7 +33,7 @@ from gmmdc import (
     variance_report,
 )
 from gmmdc import _batch
-from gmmdc._batch import FATAL_REASONS, BatchGmm, Reason
+from gmmdc._batch import FATAL_REASONS, BatchGmm, Reason, fatal_counts
 from gmmdc.inference import bootstrap_rng
 from gmmdc.linmoment import WeightFactors
 from gmmdc.montecarlo import _BOOT_SEED_BLOCK, draw_system
@@ -109,6 +109,9 @@ def test_batch_flags_singular_replications():
     assert res.status.reason[0] == Reason.OK
     assert res.status.reason[1] == Reason.PRELIMINARY_WEIGHT_NOT_PD
     assert np.isfinite(res.se_dc[0]).all()
+    assert fatal_counts(res.status.reason) == {
+        "preliminary-weight-not-pd": 1, "efficient-weight-not-pd": 0,
+        "singular-normal-matrix": 0, "ill-conditioned-correction": 0}
 
 
 @pytest.mark.parametrize("kind", ["one-step", "two-step", "iterated"])
@@ -284,6 +287,17 @@ def test_plans_on_a_stack_share_one_preliminary_solve(monkeypatch):
         assert batch.run(FitPlan(kind), compute_j=True).ok.all()
     assert codes.count(Reason.PRELIMINARY_WEIGHT_NOT_PD) == 1
     assert codes.count(Reason.EFFICIENT_WEIGHT_NOT_PD) == 2
+
+
+@pytest.mark.parametrize("kind", ["one-step", "two-step", "iterated"])
+def test_fit_state_holds_the_cached_first_stage(kind):
+    """A fit and a resumed fit point at the stack's one first stage."""
+    batch = BatchGmm.from_stack(_stacks()["iv"])
+    plan = FitPlan(kind)
+    state = batch.fit(plan)
+    stage = batch._first_stage(plan.w0)
+    assert state.stage is stage
+    assert batch.resume(plan, state.theta).stage is stage
 
 
 def test_iterated_fit_is_anchored_on_a_near_perfect_fit():
@@ -485,6 +499,9 @@ def test_property_hostile_stacks(systems, kind, weight, centered):
             return
         fatal = np.isin(stacked.status.reason, FATAL_REASONS)
         assert (fatal == ~stacked.ok).all()
+        counts = fatal_counts(stacked.status.reason)
+        assert list(counts) == [r.label for r in FATAL_REASONS]
+        assert sum(counts.values()) == fatal.sum()
         assert not np.isnan(stacked.status.cond[fatal]).any()
         for r, sysm in enumerate(systems):
             alone = BatchGmm.from_stack([sysm]).run(plan, compute_j=compute_j)

@@ -547,6 +547,27 @@ class TestSimulateCommand:
         assert "fixed_misspec applies to the IV design only" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_non_finite_alpha0_exits_2_before_the_study(self, tmp_path, capsys, monkeypatch,
+                                                        form, value):
+        """A NaN or infinite alpha0 used to exit 2 only at the first draw, with
+        a data message that named no field."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the study started")
+
+        monkeypatch.setattr(cli, "run_study", refuse)
+        args = ["simulate", "--design", "iv", "--n", "60", "--reps", "5", f"--alpha0={value}"]
+        if form == "config":
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"design": {"kind": "iv", "n": 60, "alpha0": float(value)},
+                                        "replications": 5}))
+            args = ["simulate", "--config", str(path)]
+        assert main(args + ["--threads", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "study field 'design.alpha0' must be a finite number" in captured.err
+        assert captured.out == ""
+
     def test_threads_env_that_is_not_an_integer_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("GMMDC_THREADS", "abc")
         assert main(["simulate", "--design", "iv", "--n", "60", "--reps", "5"]) == 2

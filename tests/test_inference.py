@@ -145,6 +145,13 @@ class TestCriticalValue:
         assert crit == np.sort(t_abs)[int(np.ceil(200 * 0.95)) - 1]
 
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.5, float("nan")])
+    def test_alpha_outside_the_unit_interval_is_rejected(self, alpha):
+        # alpha = 1 used to index rank -1 and return the largest value
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            critical_value(np.arange(1.0, 100.0), alpha)
+
+
 class TestMrBootstrap:
     def test_deterministic_given_seed(self):
         y, X, Z = dgp_iv(50, 0.0, ReplicationStreams(9, 0))

@@ -26,7 +26,7 @@ from gmmdc import (
     run_study,
 )
 from gmmdc import inference, montecarlo
-from gmmdc._batch import BatchGmm
+from gmmdc._batch import BatchGmm, ok_rows
 from gmmdc.montecarlo import worker_count
 
 
@@ -273,6 +273,16 @@ class TestRunStudy:
             StudyConfig(design=IvLocal(n=50, alpha0=0.0), replications=10, bootstrap_B=99,
                         **lists)
 
+    @pytest.mark.parametrize("seed, replication, field", [
+        (2.5, 0, "seed"), (-1, 0, "seed"), (True, 0, "seed"), (0, -1, "replication")])
+    def test_streams_reject_a_key_that_is_not_a_counter(self, seed, replication, field):
+        """2.5 used to draw seed 2's streams; -1 failed inside numpy, naming no field."""
+        message = f"{field} must be a non-negative integer"
+        with pytest.raises(ValueError, match=message):
+            dgp_iv(20, 0.0, ReplicationStreams(seed, replication))
+        with pytest.raises(ValueError, match=message):
+            inference.bootstrap_rng(seed, replication)
+
     def test_streams_are_independent_of_block_order(self):
         s = ReplicationStreams(11, 4)
         a_first = s.generator(0).standard_normal(5)
@@ -341,8 +351,8 @@ class TestSharedBootstrap:
         chunks = [montecarlo._chunk_records(cfg, 0, 64), montecarlo._chunk_records(cfg, 64, 70)]
         for est in cfg.estimators:
             rec = {f: np.concatenate([c[est][f] for c in chunks])
-                   for f in ("ok", "boot", "boot_failures")}
-            assert rec["ok"].all()
+                   for f in ("reason", "boot", "boot_failures")}
+            assert ok_rows(rec["reason"]).all()
             for r in range(cfg.replications):
                 sysm = draw_system(design, ReplicationStreams(cfg.seed, r))
                 try:
