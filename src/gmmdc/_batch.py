@@ -29,7 +29,8 @@ from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional
 import numpy as np
 
 from .errors import IllConditionedCorrectionError, SingularNormalMatrixError, SingularWeightError
-from .linmoment import COND_LIMIT, LinearMomentSystem, WeightFactors, WeightKind, WeightSpec
+from .linmoment import (COND_LIMIT, LinearMomentSystem, WeightFactors, WeightSpec, _moments,
+                        _omega, _omega_derivatives, _preliminary_weight, _sym)
 
 if TYPE_CHECKING:
     from .estimate import FitPlan
@@ -181,10 +182,6 @@ class BatchResult:
         return self.status.ok
 
 
-def _sym(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + np.swapaxes(a, -1, -2))
-
-
 def _cond(w: np.ndarray) -> np.ndarray:
     """Condition numbers max|w| / min|w| from the eigenvalues ``w`` of each
     symmetric matrix (infinite when singular or non-finite)."""
@@ -227,13 +224,6 @@ def _masked_solve(a: np.ndarray, b: np.ndarray, ok: np.ndarray) -> np.ndarray:
     if b.ndim == a.ndim - 1:        # stack of vectors
         return _rowwise(np.linalg.solve, a, b[..., None])[..., 0]
     return _rowwise(np.linalg.solve, a, b)
-
-
-def _omega(g: np.ndarray, centered: bool) -> np.ndarray:
-    n = g.shape[1]
-    if centered:
-        g = g - g.mean(axis=1, keepdims=True)
-    return _sym(np.swapaxes(g, 1, 2) @ g / n)
 
 
 def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -398,36 +388,13 @@ class BatchGmm:
             raise ValueError("stacked systems must all have weight factors with the same core H")
         return cls(h, G, np.stack([s.Z_obs for s in systems]), first.H)
 
-    @cached_property
-    def _data_average(self):
-        """The data-average weight (R, q, q) and its factors, formed once per stack."""
-        if self.Z_obs is None:
-            raise ValueError("systems have no per-observation weight contributions")
-        w = WeightFactors(self.Z_obs, self.H)
-        return w.mean(), w
-
     def g_obs(self, theta: np.ndarray) -> np.ndarray:
         """Per-observation moments for per-replication parameters (R, k)."""
-        return self.h + np.einsum("rnqk,rk->rnq", self.G, theta)
+        return _moments(self.h, self.G, theta)
 
-    def _efficient(self, plan: "FitPlan", theta: np.ndarray):
-        """g_i(theta) and the second-moment weight Omega_n(theta) built from it,
-        centered if ``plan`` says so."""
-        g = self.g_obs(theta)
-        return g, _omega(g, plan.centered)
-
-    def _w0(self, spec: WeightSpec):
-        """Preliminary weight (R, q, q) and its per-observation contributions
-        (None for the identity, whose influence term drops)."""
-        kind = spec.kind
-        if kind is WeightKind.IDENTITY:
-            return np.broadcast_to(np.eye(self.q), (self.R, self.q, self.q)), None
-        if kind is WeightKind.DATA_AVERAGE:
-            return self._data_average
-        g = self.g_obs(np.broadcast_to(spec.theta, (self.R, self.k)))
-        if kind is WeightKind.EFFICIENT_CENTERED:
-            g = g - g.mean(axis=1, keepdims=True)
-        return _omega(g, False), WeightFactors.rank_one(g)
+    def g_n(self, theta: np.ndarray) -> np.ndarray:
+        """g_n(theta) (R, q): the mean of g_i(theta), the moment J and the variance stage use."""
+        return self.g_obs(theta).mean(axis=1)
 
     def _first_stage(self, spec: WeightSpec) -> _FirstStage:
         """The solve with preliminary weight ``spec``, formed once per stack
@@ -435,7 +402,7 @@ class BatchGmm:
         key = _spec_key(spec)
         if key not in self._first_stages:
             status = Status(self.R)
-            w0, w0_obs = self._w0(spec)
+            w0, w0_obs = _preliminary_weight(spec, self.h, self.G, self.Z_obs, self.H)
             s1 = self.solve(w0, status)
             stage = _FirstStage(w0, w0_obs, s1, status, self.g_obs(s1.theta))
             _read_only(w0, *s1, status.reason, status.cond, stage.g)
@@ -483,15 +450,11 @@ class BatchGmm:
 
     def _d_hat(self, g_weight, aG, u, M_inv, centered):
         """Weight-estimation correction (R, k, k): column j is M^-1 aG' (dOmega/dtheta_j) u,
-        with the cross moments of g and all k columns of G formed by one GEMM."""
-        R, n, q, k = self.G.shape
-        g, G = g_weight, self.G
-        if centered:
-            g = g - g.mean(axis=1, keepdims=True)
-            G = G - self.G_n[:, None]
-        ups = (np.swapaxes(g, 1, 2) @ G.reshape(R, n, q * k) / n).reshape(R, q, q, k)
-        domega = ups + np.swapaxes(ups, 1, 2)   # symmetric, so u' dOmega_j = (dOmega_j u)'
-        domega_u = (u[:, None, :] @ domega.reshape(R, q, q * k)).reshape(R, q, k)
+        with dOmega/dtheta_j taken at the moments ``g_weight``."""
+        R, _, q, k = self.G.shape
+        # dOmega_j is symmetric, so u' dOmega_j = (dOmega_j u)'
+        domega = _omega_derivatives(g_weight, self.G, centered).reshape(R, q, q * k)
+        domega_u = (u[:, None, :] @ domega).reshape(R, q, k)
         return M_inv @ np.swapaxes(aG, 1, 2) @ domega_u
 
     # ------------------------------------------------------------------
@@ -529,7 +492,8 @@ class BatchGmm:
         if iterated, else the one-step estimate) and the solve with Omega_n,
         flagged in ``status``; ``chain`` is a fit's convergence and iterates."""
         if plan.kind == "iterated":
-            g_w, omega = self._efficient(plan, theta)
+            g_w = self.g_obs(theta)
+            omega = _omega(g_w, plan.centered)
         else:
             g_w, omega = stage.g, self._one_step(plan).omega
         final = stage.solve
@@ -591,7 +555,7 @@ class BatchGmm:
         """The (estimate, weight) pair of every solve of a one-replication fit."""
         thetas = [t[0] for t in fit.iterates[:fit.iterations[0]]]
         weights = [np.array(fit.stage.w0[0])]
-        weights += [self._efficient(fit.plan, t[None])[1][0] for t in thetas[:-1]]
+        weights += [_omega(self.g_obs(t[None]), fit.plan.centered)[0] for t in thetas[:-1]]
         return list(zip(thetas, weights))
 
     # ------------------------------------------------------------------
@@ -663,7 +627,7 @@ class BatchGmm:
         if fit.plan.kind == "one-step":     # the other kinds have solved against omega
             _check_pd(fit.omega, fit.status, Reason.EFFICIENT_WEIGHT_NOT_PD)
         if g_n is None:
-            g_n = self.g_obs(fit.theta).mean(axis=1)
+            g_n = self.g_n(fit.theta)
         j = self.n * (g_n * _masked_solve(fit.omega, g_n, fit.status.ok)).sum(axis=1)
         fit.status.flag(~np.isfinite(j), Reason.EFFICIENT_WEIGHT_NOT_PD, np.inf)
         return j
@@ -692,6 +656,5 @@ class BatchGmm:
         :class:`Status`."""
         status = Status(self.R)
         s = self.solve(weight, status)
-        g_eval = self.h_n + (self.G_n @ theta_eval[..., None])[..., 0]
-        u = _masked_solve(weight, g_eval, status.ok)
+        u = _masked_solve(weight, self.g_n(theta_eval), status.ok)
         return self._d_hat(self.g_obs(theta_weight), s.aG, u, s.M_inv, centered), status

@@ -265,8 +265,8 @@ def cmd_estimate(args) -> dict:
     nulls = [0.0] * sys_.k
     if args.null:
         parts = [float(v) for v in args.null.split(",")]
-        if len(parts) not in (1, sys_.k):
-            raise DataError(f"--null takes 1 or {sys_.k} values")
+        if len(parts) not in (1, sys_.k) or not np.isfinite(parts).all():
+            raise DataError(f"--null takes 1 or {sys_.k} finite values")
         nulls = parts * sys_.k if len(parts) == 1 else parts
 
     boots = [None] * sys_.k
@@ -366,7 +366,8 @@ _REQUIRED = object()
 
 def _field(d: dict, name: str, kind: type, default=_REQUIRED):
     """Study field ``name`` ("design.n" is the design's "n"), a JSON value of
-    type ``kind`` (a bool is no number); a null or absent field is ``default``."""
+    type ``kind`` (a bool is no number); a null or absent field is ``default``.
+    An integer field but ``seed`` (a stream key, unbounded) must fit in int64."""
     value = d.get(name.rsplit(".", 1)[-1])
     if value is None:
         if default is _REQUIRED:
@@ -374,9 +375,11 @@ def _field(d: dict, name: str, kind: type, default=_REQUIRED):
         return default
     if (not isinstance(value, (int, float) if kind is float else kind)
             or isinstance(value, bool) != (kind is bool)
-            or kind is float and not np.isfinite(value)
+            or kind is float and not abs(value) <= sys.float_info.max    # NaN, inf, 10**400
             or kind is list and not all(isinstance(x, str) for x in value)):
         raise DataError(f"study field {name!r} must be {_JSON_TYPES[kind]}, got {value!r}")
+    if kind is int and name != "seed" and not -2**63 <= value < 2**63:
+        raise DataError(f"study field {name!r} must fit in a signed 64-bit integer")
     return value
 
 

@@ -41,8 +41,8 @@ class FitPlan:
     def __post_init__(self):
         if self.kind not in ("one-step", "two-step", "iterated"):
             raise ValueError(f"unknown estimator kind {self.kind!r}")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be a positive finite number, got {self.tol!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -75,6 +75,8 @@ class GmmFit:
     ``steps`` records the full chain of (estimate, weight matrix) pairs so
     the variance estimators can be assembled without refitting; the final
     entry's weight is the one the reported estimate minimizes against.
+    ``g_n_hat`` is g_n(theta), the mean of g_i(theta) at the estimate: the
+    moment the J statistic and the variance stage use.
     """
 
     theta: np.ndarray
@@ -135,7 +137,7 @@ def fit(sys: LinearMomentSystem, plan: FitPlan) -> GmmFit:
         warnings.warn(f"iterated GMM did not converge within {plan.max_iter} updates; "
                       "returning the last iterate", RuntimeWarning, stacklevel=2)
     theta = state.theta[0]
-    result = GmmFit(theta, steps, batch.h_n[0] + batch.G_n[0] @ theta, converged, len(steps), plan)
+    result = GmmFit(theta, steps, batch.g_n(state.theta)[0], converged, len(steps), plan)
     object.__setattr__(result, "_kernel", (sys, batch, state))
     return result
 

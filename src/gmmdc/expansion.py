@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linmoment import LinearMomentSystem, WeightSpec
+from .linmoment import LinearMomentSystem, WeightSpec, moment_stats
 
 
 @dataclass(frozen=True)
@@ -91,18 +91,14 @@ class _Deviations:
     """Root-n deviations of the sample moments from their population values."""
 
     def __init__(self, sample: LinearMomentSystem, truth: ExpansionTruth):
-        n = sample.n
-        rn = np.sqrt(n)
-        g = sample.g_obs(truth.theta0)
-        self.g_tilde = rn * g.mean(axis=0) - truth.delta
-        self.G_tilde = rn * (sample.G_obs.mean(axis=0) - truth.G)
-        try:
-            W_n = sample.weight_matrix(WeightSpec.data_average())
-        except ValueError:          # no per-observation weight contributions
-            W_n = None
-        self.W_tilde = np.zeros_like(truth.W) if W_n is None else rn * (W_n - truth.W)
-        omega_n = g.T @ g / n
-        self.Omega_tilde = rn * (omega_n - truth.Omega)
+        rn = np.sqrt(sample.n)
+        stats = moment_stats(sample, truth.theta0)
+        self.g_tilde = rn * stats.g_n - truth.delta
+        self.G_tilde = rn * (stats.G_n - truth.G)
+        self.W_tilde = np.zeros_like(truth.W)
+        if sample.Z_obs is not None:        # the system has per-observation weight contributions
+            self.W_tilde = rn * (sample.weight_matrix(WeightSpec.data_average()) - truth.W)
+        self.Omega_tilde = rn * (stats.Omega - truth.Omega)
 
 
 def _weighted_terms(G, weight, weight_tilde, delta, g_tilde, G_tilde):

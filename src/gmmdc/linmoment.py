@@ -98,8 +98,7 @@ class WeightFactors(NamedTuple):
         *lead, n, e, q = self.Z.shape
         Zf = self.Z.reshape(*lead, n * e, q)
         HZf = (self.H @ self.Z).reshape(*lead, n * e, q)
-        W = np.swapaxes(Zf, -1, -2) @ HZf / n
-        return 0.5 * (W + np.swapaxes(W, -1, -2))
+        return _sym(np.swapaxes(Zf, -1, -2) @ HZf / n)
 
     def times(self, b: np.ndarray) -> np.ndarray:
         """W(X_i) b = Z_i' H (Z_i b) for every observation, shape (..., n, q)."""
@@ -120,6 +119,59 @@ def full_factors(W: np.ndarray) -> WeightFactors:
     Z = np.concatenate([np.broadcast_to(np.eye(q), W.shape), W], axis=-2)
     half, zero = 0.5 * np.eye(q), np.zeros((q, q))
     return WeightFactors(Z, np.block([[zero, half], [half, zero]]))
+
+
+# Formulas on stacks of R systems, h (R, n, q) and G (R, n, q, k). The kernel applies
+# them to its stacks and a system's helpers to its one-system stack, so both agree.
+
+
+def _sym(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
+def _moments(h: np.ndarray, G: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """g_i(theta) = h_i + G_i theta (R, n, q) for per-replication parameters theta (R, k)."""
+    return h + np.einsum("rnqk,rk->rnq", G, theta)
+
+
+def _omega(g: np.ndarray, centered: bool = False) -> np.ndarray:
+    """Omega_n (R, q, q): the mean of g_i g_i' over the n rows of g (R, n, q),
+    or of (g_i - g_n)(g_i - g_n)' when centered."""
+    n = g.shape[1]
+    if centered:
+        g = g - g.mean(axis=1, keepdims=True)
+    return _sym(np.swapaxes(g, 1, 2) @ g / n)
+
+
+def _omega_derivatives(g: np.ndarray, G: np.ndarray, centered: bool) -> np.ndarray:
+    """dOmega_n/dtheta_j (R, q, q, k) for all k columns j at the moments g (R, n, q):
+    Upsilon_j + Upsilon_j', where Upsilon_j is the mean of g_i times column j
+    of G_i transposed (both demeaned when centered), formed by one GEMM."""
+    R, n, q, k = G.shape
+    if centered:
+        g = g - g.mean(axis=1, keepdims=True)
+        G = G - G.mean(axis=1, keepdims=True)
+    ups = (np.swapaxes(g, 1, 2) @ G.reshape(R, n, q * k) / n).reshape(R, q, q, k)
+    return ups + np.swapaxes(ups, 1, 2)
+
+
+def _preliminary_weight(spec: WeightSpec, h: np.ndarray, G: np.ndarray,
+                        Z_obs: Optional[np.ndarray], H: Optional[np.ndarray]):
+    """The weight (R, q, q) of ``spec`` and its per-observation contributions
+    (see :meth:`LinearMomentSystem.weight_obs`), from factors Z_obs (R, n, e, q)."""
+    R, _, q = h.shape
+    if spec.kind is WeightKind.IDENTITY:
+        return np.broadcast_to(np.eye(q), (R, q, q)), None
+    if spec.kind is WeightKind.DATA_AVERAGE:
+        if Z_obs is None:
+            raise ValueError("system has no per-observation weight contributions")
+        w = WeightFactors(Z_obs, H)
+        return w.mean(), w
+    theta = _check_theta(spec.theta, G.shape[-1])
+    g = _moments(h, G, np.broadcast_to(theta, (R, theta.size)))
+    if spec.kind is WeightKind.EFFICIENT_CENTERED:
+        g = g - g.mean(axis=1, keepdims=True)
+    return _omega(g), WeightFactors.rank_one(g)
 
 
 class LinearMomentSystem:
@@ -218,18 +270,16 @@ class LinearMomentSystem:
     def g_obs(self, theta: np.ndarray) -> np.ndarray:
         """Per-observation moments g_i(theta) = h_i + G_i theta, shape (n, q)."""
         theta = _check_theta(theta, self.k)
-        return self.h + self.G_obs @ theta
+        return _moments(self.h[None], self.G_obs[None], theta[None])[0]
+
+    def _weight(self, spec: WeightSpec):
+        Z_obs = None if self.Z_obs is None else self.Z_obs[None]
+        return _preliminary_weight(spec, self.h[None], self.G_obs[None], Z_obs, self.H)
 
     def weight_matrix(self, spec: WeightSpec) -> np.ndarray:
-        """Materialize a weight specification as a q x q matrix."""
-        if spec.kind is WeightKind.IDENTITY:
-            return np.eye(self.q)
-        if spec.kind is WeightKind.DATA_AVERAGE:
-            return self.weight_obs(spec).mean()
-        stats = moment_stats(self, spec.theta)
-        if spec.kind is WeightKind.EFFICIENT:
-            return stats.Omega
-        return stats.Omega_c
+        """Materialize a weight specification as a q x q matrix (the efficient
+        kinds' Omega_n, centered for the centered kind)."""
+        return np.array(self._weight(spec)[0][0])
 
     def weight_obs(self, spec: WeightSpec):
         """Per-observation contributions Xi(X_i) of a weight specification.
@@ -239,16 +289,8 @@ class LinearMomentSystem:
         ``Z_obs`` and ``H`` for the data-average weight, the rank-one factors
         of g_i (centered for the centered kind) for the efficient kinds.
         """
-        if spec.kind is WeightKind.IDENTITY:
-            return None
-        if spec.kind is WeightKind.DATA_AVERAGE:
-            if self.Z_obs is None:
-                raise ValueError("system has no per-observation weight contributions")
-            return WeightFactors(self.Z_obs, self.H)
-        g = self.g_obs(spec.theta)
-        if spec.kind is WeightKind.EFFICIENT_CENTERED:
-            g = g - g.mean(axis=0)
-        return WeightFactors.rank_one(g)
+        w = self._weight(spec)[1]
+        return None if w is None else WeightFactors(w.Z[0], w.H)
 
 
 @dataclass(frozen=True)
@@ -421,15 +463,11 @@ def moment_stats(sys: LinearMomentSystem, theta: np.ndarray) -> MomentStats:
     """Sample mean, Jacobian, and (un)centered second moments of g_i(theta).
 
     Returns g_n(theta), G_n, Omega_n(theta) = mean of g_i g_i', and the
-    centered variant Omega_n(theta) - g_n g_n', all in one pass.
+    centered variant, the mean of (g_i - g_n)(g_i - g_n)'.
     """
-    g = sys.g_obs(theta)
-    g_n = g.mean(axis=0)
-    G_n = sys.G_obs.mean(axis=0)
-    Omega = g.T @ g / sys.n
-    Omega = 0.5 * (Omega + Omega.T)
-    Omega_c = Omega - np.outer(g_n, g_n)
-    return MomentStats(g_n=g_n, G_n=G_n, Omega=Omega, Omega_c=Omega_c)
+    g = sys.g_obs(theta)[None]
+    return MomentStats(g_n=g.mean(axis=1)[0], G_n=sys.G_obs.mean(axis=0),
+                       Omega=_omega(g)[0], Omega_c=_omega(g, True)[0])
 
 
 def omega_derivative(sys: LinearMomentSystem, theta: np.ndarray, j: int,
@@ -443,13 +481,7 @@ def omega_derivative(sys: LinearMomentSystem, theta: np.ndarray, j: int,
     """
     if not 0 <= j < sys.k:
         raise IndexError(f"coordinate index {j} out of range for k={sys.k}")
-    g = sys.g_obs(theta)
-    dg = sys.G_obs[:, :, j]
-    if centered:
-        g = g - g.mean(axis=0)
-        dg = dg - dg.mean(axis=0)
-    ups = g.T @ dg / sys.n
-    return ups + ups.T
+    return _omega_derivatives(sys.g_obs(theta)[None], sys.G_obs[None], centered)[0, :, :, j]
 
 
 def _check_theta(theta, k: int) -> np.ndarray:

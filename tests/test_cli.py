@@ -212,6 +212,22 @@ class TestEstimateCommand:
         assert code == 0
         assert json.loads(out.read_text())["q"] == 3
 
+    @pytest.mark.parametrize("null", ["nan", "inf", "1,-inf"])
+    def test_non_finite_null_exits_2(self, iv_csv, capsys, null):
+        """--null nan wrote "t": NaN, which is not JSON, and exited 0."""
+        path, x_cols, z_cols, _ = iv_csv
+        assert main(["estimate", "iv", "--data", str(path), "--y", "y", "--x", x_cols,
+                     "--z", z_cols, f"--null={null}"]) == 2
+        captured = capsys.readouterr()
+        assert "--null takes 1 or 1 finite values" in captured.err and captured.out == ""
+
+    def test_non_finite_tol_exits_2(self, iv_csv, capsys):
+        path, x_cols, z_cols, _ = iv_csv
+        assert main(["estimate", "iv", "--data", str(path), "--y", "y", "--x", x_cols,
+                     "--z", z_cols, "--estimator", "iterated", "--tol", "inf"]) == 2
+        captured = capsys.readouterr()
+        assert "tol must be a positive finite number" in captured.err and captured.out == ""
+
     def test_missing_column_exits_2(self, iv_csv, capsys):
         path, x_cols, _, _ = iv_csv
         code = main(["estimate", "iv", "--data", str(path), "--y", "y",
@@ -480,12 +496,35 @@ class TestSimulateCommand:
         ({"design": {"kind": "iv", "n": 60}, "replications": 5, "estimators": "two"},
          "estimators"),
         ({"design": {"kind": ["iv"], "n": 60}, "replications": 5}, "design.kind"),
+        # JSON numbers that their field cannot hold: alpha0 ended in a
+        # TypeError traceback, replications in an endless chunk list.
+        ({"design": {"kind": "iv", "n": 60, "alpha0": 10**400}, "replications": 5},
+         "design.alpha0"),
+        ({"design": {"kind": "iv", "n": 60}, "replications": 10**400}, "replications"),
+        ({"design": {"kind": "iv", "n": 60}, "replications": 5, "bootstrap_B": 2**63},
+         "bootstrap_B"),
+        ({"design": {"kind": "iv", "n": 2**63}, "replications": 5}, "design.n"),
+        ({"design": {"kind": "panel-rc", "N": -2**63 - 1, "T": 4}, "replications": 5},
+         "design.N"),
+        ({"design": {"kind": "panel-lag", "N": 50, "T": 10**30}, "replications": 5},
+         "design.T"),
     ])
-    def test_malformed_config_exits_2_naming_the_field(self, tmp_path, capsys, raw, field):
+    def test_malformed_config_exits_2_naming_the_field(self, tmp_path, capsys, monkeypatch,
+                                                       raw, field):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the study started")
+
+        monkeypatch.setattr(cli, "run_study", refuse)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))
         assert main(["simulate", "--config", str(path), "--threads", "1"]) == 2
         assert field in capsys.readouterr().err
+
+    def test_seed_beyond_int64_is_a_stream_key(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"design": {"kind": "iv", "n": 60}, "replications": 2,
+                                    "seed": 2**70 + 3}))
+        assert main(["simulate", "--config", str(path), "--threads", "1"]) == 0
 
     @pytest.mark.parametrize("raw, message", [
         ({"design": {"kind": "iv", "n": 60}, "replications": 3, "estimators": ["one", "two"],

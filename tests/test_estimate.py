@@ -145,3 +145,6 @@ class TestFit:
             FitPlan("iterated", tol=0.0)
         with pytest.raises(ValueError):
             FitPlan("iterated", max_iter=0)
+        for tol in (np.inf, np.nan, -np.inf):   # inf stopped after one update, "converged"
+            with pytest.raises(ValueError, match="tol must be a positive finite number"):
+                FitPlan("iterated", tol=tol)

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from gmmdc import (
     moment_stats,
     omega_derivative,
 )
+from gmmdc import _batch
+from gmmdc._batch import BatchGmm
 from gmmdc.linmoment import WeightFactors
 from conftest import random_system
 
@@ -357,3 +361,79 @@ class TestFactoredWeightContributions:
         sysm = random_system(rng)
         with pytest.raises(AttributeError):
             sysm.h = np.zeros_like(sysm.h)
+
+
+@functools.cache
+def _pinned_systems():
+    """IV, panel-rc and panel-lag systems, and two random k = 2 systems."""
+    y, X, Z = dgp_iv(200, 0.3, ReplicationStreams(71, 0))
+    rng = np.random.default_rng(71)
+    return {
+        "iv": build_iv_system(y, X, Z),
+        "panel-rc": build_ab_system(dgp_panel_rc(100, 5, 0.2, ReplicationStreams(71, 1)),
+                                    mode="ar1"),
+        "panel-lag": build_ab_system(dgp_panel_lag(100, 5, 0.2, ReplicationStreams(71, 2))),
+        "random-0": random_system(rng),
+        "random-1": random_system(rng),
+    }
+
+
+#: Every preliminary weight kind, for a system with k parameters.
+_SPECS = {
+    "identity": lambda k: WeightSpec.identity(),
+    "data-average": lambda k: WeightSpec.data_average(),
+    "efficient": lambda k: WeightSpec.efficient_uncentered(np.full(k, 0.2)),
+    "efficient-centered": lambda k: WeightSpec.efficient_centered(np.full(k, 0.2)),
+}
+
+
+@pytest.mark.parametrize("w0", list(_SPECS))
+@pytest.mark.parametrize("label", ["iv", "panel-rc", "panel-lag", "random-0", "random-1"])
+class TestHelpersAreKernelViews:
+    """The public moment helpers return the numbers the kernel fits with, bit
+    for bit: their formulas are the kernel's, on a one-system stack."""
+
+    def test_weight_matrix_and_obs_are_the_preliminary_weight(self, label, w0):
+        sysm = _pinned_systems()[label]
+        spec = _SPECS[w0](sysm.k)
+        stage = BatchGmm.from_stack([sysm]).fit(FitPlan.one_step(spec)).stage
+        assert np.array_equal(sysm.weight_matrix(spec), stage.w0[0])
+        factors = sysm.weight_obs(spec)
+        if stage.w0_obs is None:
+            assert factors is None
+        else:
+            assert np.array_equal(factors.Z, stage.w0_obs.Z[0])
+            assert np.array_equal(factors.H, stage.w0_obs.H)
+
+    @pytest.mark.parametrize("centered", [False, True])
+    @pytest.mark.parametrize("kind", ["one-step", "two-step", "iterated"])
+    def test_moment_helpers_are_the_fits_values(self, monkeypatch, label, w0, kind, centered):
+        sysm = _pinned_systems()[label]
+        domegas, j_moments = [], []
+        omega_derivatives, j_stat = _batch._omega_derivatives, BatchGmm.j_stat
+
+        def recording_omega_derivatives(*args):
+            domegas.append(omega_derivatives(*args))
+            return domegas[-1]
+
+        def recording_j_stat(self, fit, g_n=None):
+            j_moments.append(g_n)
+            return j_stat(self, fit, g_n)
+
+        monkeypatch.setattr(_batch, "_omega_derivatives", recording_omega_derivatives)
+        monkeypatch.setattr(BatchGmm, "j_stat", recording_j_stat)
+        f = fit(sysm, FitPlan(kind, _SPECS[w0](sysm.k), centered))
+        batch, state = f._kernel[1:]
+        batch.variance(state, compute_j=True)
+        # The weight's evaluation point: the one-step estimate, or the estimate if iterated.
+        point = state.theta[0] if kind == "iterated" else state.stage.solve.theta[0]
+        stats = moment_stats(sysm, point)
+        assert np.array_equal(stats.Omega_c if centered else stats.Omega, state.omega[0])
+        assert np.array_equal(stats.G_n, batch.G_n[0])
+        assert np.array_equal(moment_stats(sysm, f.theta).g_n, j_moments[0][0])
+        assert np.array_equal(f.g_n_hat, j_moments[0][0])
+        assert len(domegas) == (kind != "one-step")
+        for domega in domegas:
+            for j in range(sysm.k):
+                assert np.array_equal(omega_derivative(sysm, point, j, centered),
+                                      domega[0, :, :, j])
