@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import IllConditionedCorrectionError, SingularNormalMatrixError, SingularWeightError
 from .linmoment import (COND_LIMIT, LinearMomentSystem, WeightFactors, WeightSpec, _moments,
-                        _omega, _omega_derivatives, _preliminary_weight, _sym)
+                        _obs_mean, _omega, _omega_derivatives, _preliminary_weight, _sym)
 
 if TYPE_CHECKING:
     from .estimate import FitPlan
@@ -52,9 +52,14 @@ class Reason(IntEnum):
         return self.name.lower().replace("_", "-")
 
 
+#: The first fatal code, as a plain int: numpy compares an array with an
+#: ``IntEnum`` member about five times slower.
+_FIRST_FATAL = int(Reason.PRELIMINARY_WEIGHT_NOT_PD)
+
+
 def ok_rows(reason: np.ndarray) -> np.ndarray:
     """Mask of the rows whose :class:`Reason` code in ``reason`` is not fatal."""
-    return reason < Reason.PRELIMINARY_WEIGHT_NOT_PD
+    return reason < _FIRST_FATAL
 
 
 FATAL_REASONS = tuple(r for r in Reason if not ok_rows(r))
@@ -62,7 +67,7 @@ FATAL_REASONS = tuple(r for r in Reason if not ok_rows(r))
 
 def fatal_counts(reason: np.ndarray) -> Dict[str, int]:
     """Rows per fatal reason label in ``reason``, in :data:`FATAL_REASONS` order, zeros included."""
-    return {r.label: int((reason == r).sum()) for r in FATAL_REASONS}
+    return {r.label: int((reason == int(r)).sum()) for r in FATAL_REASONS}
 
 
 #: The error each fatal reason raises in the R = 1 views.
@@ -363,11 +368,11 @@ class BatchGmm:
 
     @cached_property
     def h_n(self) -> np.ndarray:
-        return self.h.mean(axis=1)
+        return _obs_mean(self.h)
 
     @cached_property
     def G_n(self) -> np.ndarray:
-        return self.G.mean(axis=1)
+        return _obs_mean(self.G)
 
     @classmethod
     def from_system(cls, sys: LinearMomentSystem, idx: np.ndarray) -> "BatchGmm":
@@ -394,7 +399,7 @@ class BatchGmm:
 
     def g_n(self, theta: np.ndarray) -> np.ndarray:
         """g_n(theta) (R, q): the mean of g_i(theta), the moment J and the variance stage use."""
-        return self.g_obs(theta).mean(axis=1)
+        return _obs_mean(self.g_obs(theta))
 
     def _first_stage(self, spec: WeightSpec) -> _FirstStage:
         """The solve with preliminary weight ``spec``, formed once per stack
@@ -419,7 +424,7 @@ class BatchGmm:
         if key not in self._one_steps:
             stage = self._first_stage(plan.w0)
             s1, g1 = stage.solve, stage.g
-            g_n, omega = g1.mean(axis=1), _omega(g1, plan.centered)
+            g_n, omega = _obs_mean(g1), _omega(g1, plan.centered)
             V_conv = _sandwich(s1.M_inv, np.swapaxes(s1.aG, 1, 2) @ omega @ s1.aG)
             b = _masked_solve(stage.w0, g_n, stage.status.ok)
             m = self._m_contrib(g1, s1.aG, b, stage.w0_obs)
@@ -541,7 +546,7 @@ class BatchGmm:
         the moments are ``g1``: one GEMM per replication."""
         x = np.concatenate([g1[..., None], self.G], axis=-1)
         if centered:
-            x -= x.mean(axis=1, keepdims=True)
+            x -= _obs_mean(x, keepdims=True)
         x = x.reshape(self.R, self.n, -1)
         return _Live(_gram(x, x), theta1, self.h_n, self.G_n)
 
@@ -582,7 +587,7 @@ class BatchGmm:
         if plan.kind != "iterated":
             g1_n, _, V1_conv, m1, Sigma, V1_dc = self._one_step(plan)
             V_conv, V_dc = V1_conv, V1_dc
-        g_n = g1_n if plan.kind == "one-step" else g.mean(axis=1)     # g_n(theta)
+        g_n = g1_n if plan.kind == "one-step" else _obs_mean(g)     # g_n(theta)
 
         if plan.kind != "one-step":
             g_w = fit.g_w
@@ -590,7 +595,7 @@ class BatchGmm:
             D = self._d_hat(g_w, s.aG, u, s.M_inv, plan.centered)
             Dt = np.swapaxes(D, 1, 2)
             if plan.centered:
-                g_w = g_w - g_w.mean(axis=1, keepdims=True)
+                g_w = g_w - _obs_mean(g_w, keepdims=True)
             m = self._m_contrib(g, s.aG, u, WeightFactors.rank_one(g_w))
             Sigma = _gram(m, m)
             V_conv = s.M_inv
@@ -647,7 +652,7 @@ class BatchGmm:
         _check_pd(weight, status, Reason.PRELIMINARY_WEIGHT_NOT_PD)
         g = self.g_obs(theta)
         aG = _weight_solve(weight, self.G_n, status, Reason.PRELIMINARY_WEIGHT_NOT_PD)
-        b = _masked_solve(weight, g.mean(axis=1), status.ok)
+        b = _masked_solve(weight, _obs_mean(g), status.ok)
         return self._m_contrib(g, aG, b, weight_obs), status
 
     def d_hat(self, theta_weight, theta_eval, weight, centered):

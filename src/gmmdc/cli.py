@@ -25,7 +25,7 @@ import scipy
 from . import __version__
 from .errors import GmmError, JNotDefinedError
 from .estimate import DEFAULT_TOL, FitPlan, fit
-from .inference import _percentile_t, _unwrap, j_test, t_test
+from .inference import _check_B, _check_seed, _percentile_t, _unwrap, j_test, t_test
 from .linmoment import PanelDataset, WeightSpec, build_ab_system, build_iv_system
 from .montecarlo import IvLocal, PanelLagMiss, PanelRandomCoef, StudyConfig, run_study
 from .variance import variance_report
@@ -229,24 +229,49 @@ def _provenance(seed: int, started: float) -> dict:
     }
 
 
+def _nulls(text: Optional[str], k: int) -> List[float]:
+    """The ``--null`` values of k coefficients: one for all of them or one
+    each, 0 when not given."""
+    if not text:
+        return [0.0] * k
+    try:
+        parts = [float(v) for v in text.split(",")]
+    except ValueError:
+        parts = []
+    if len(parts) not in (1, k) or not np.isfinite(parts).all():
+        raise DataError(f"--null takes 1 or {k} finite values, got {text!r}")
+    return parts * k if len(parts) == 1 else parts
+
+
 def cmd_estimate(args) -> dict:
     started = time.time()
+    # every flag is checked before the data file is read
+    if args.model == "iv":
+        coef_names = args.x.split(",")
+    elif args.mode == "ar1":
+        coef_names = [f"lag({args.y})"]
+    elif not args.x or len(args.x.split(",")) != 1:
+        raise DataError("panel models take a single regressor column")
+    else:
+        coef_names = [args.x]
+    nulls = _nulls(args.null, len(coef_names))
+    if args.bootstrap is not None:
+        _check_B(args.bootstrap, "--bootstrap B")
+        _check_seed(args.seed, "--seed")
+    w0 = WeightSpec.identity() if args.weight == "identity" else WeightSpec.data_average()
+    plan = FitPlan(args.estimator, w0, centered=args.centered, tol=args.tol)
+
     stages = _Stages("read", "build", "fit", "variance", "j", "bootstrap")
     with stages("read"):
         table = _read_csv(args.data)
         if args.model == "iv":
-            coef_names = args.x.split(",")
             data = _numeric(table, [args.y] + coef_names + args.z.split(","))
             y, X, Z = (np.ascontiguousarray(a)
                        for a in np.split(data, [1, 1 + len(coef_names)], axis=1))
         elif args.mode == "ar1":
             (ypanel,) = _panel_arrays(table, args.id, args.time, [args.y])
             panel = PanelDataset(y=ypanel)
-            coef_names = [f"lag({args.y})"]
         else:
-            if not args.x or len(args.x.split(",")) != 1:
-                raise DataError("panel models take a single regressor column")
-            coef_names = args.x.split(",")
             ypanel, xpanel = _panel_arrays(table, args.id, args.time, [args.y] + coef_names)
             panel = PanelDataset(y=ypanel, x=xpanel)
     with stages("build"):
@@ -255,19 +280,10 @@ def cmd_estimate(args) -> dict:
         else:
             sys_ = build_ab_system(panel, mode="ar1" if args.mode == "ar1" else "predetermined")
 
-    w0 = WeightSpec.identity() if args.weight == "identity" else WeightSpec.data_average()
-    plan = FitPlan(args.estimator, w0, centered=args.centered, tol=args.tol)
     with stages("fit"):
         fit_result = fit(sys_, plan)
     with stages("variance"):
         report = variance_report(sys_, fit_result)
-
-    nulls = [0.0] * sys_.k
-    if args.null:
-        parts = [float(v) for v in args.null.split(",")]
-        if len(parts) not in (1, sys_.k) or not np.isfinite(parts).all():
-            raise DataError(f"--null takes 1 or {sys_.k} finite values")
-        nulls = parts * sys_.k if len(parts) == 1 else parts
 
     boots = [None] * sys_.k
     if args.bootstrap is not None:

@@ -6,8 +6,10 @@ with replacement, studentizes by the doubly corrected standard error, and
 needs no moment recentering; critical values are symmetric quantiles of |t*|.
 Resample b draws its indices from the Philox stream keyed by (seed, b)
 (:func:`bootstrap_rng`); :func:`bootstrap_draws` draws all B rows of one
-stack at once, bit for bit the same, with the B keys hashed in one
-vectorized pass and one generator re-keyed per row.
+stack at once, bit for bit the same: the B keys hashed in one vectorized
+pass, each row's raw Philox words from one re-keyed bit generator, and
+numpy's bounded-integer step applied to the whole matrix. A bootstrap takes
+99 to :data:`MAX_BOOTSTRAP_B` resamples.
 """
 
 from __future__ import annotations
@@ -30,6 +32,10 @@ BOOTSTRAP_STREAM = 104729
 
 #: The 97.5% standard normal quantile, the two-sided 5% critical value.
 Z_975 = float(special.ndtri(0.975))
+
+#: The largest number of bootstrap resamples. The resample stack grows with
+#: B, and far fewer resamples settle a percentile-t critical value.
+MAX_BOOTSTRAP_B = 10**5
 
 
 @dataclass(frozen=True)
@@ -131,19 +137,41 @@ def bootstrap_draws(seed: int, B: int, n: int) -> np.ndarray:
     is ``bootstrap_rng(seed, b).integers(0, n, size=n)``, bit for bit.
 
     The B Philox keys come from one vectorized hash (:func:`_stream_keys`);
-    one generator then draws every row, its state set to row b's key, a zero
-    counter and an empty buffer before the draw.
+    one bit generator, re-keyed per row with a zero counter and an empty
+    buffer, gives each row's ceil(n/2) raw 64-bit words. Read as explicit
+    little-endian uint32 pairs, on any host, each word gives its low and
+    then its high half, the order of Philox's ``next_uint32``. numpy's
+    bounded-integer step (Lemire 2019) then runs on the whole matrix at
+    once: m = u32 n, index = m >> 32. A row where that step would reject a
+    draw, (m mod 2**32) < (2**32 - n) mod n, is drawn again from its
+    definition.
     """
-    keys = _stream_keys(_check_seed(seed), np.arange(B), BOOTSTRAP_STREAM)
+    seed = _check_seed(seed)
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    keys = _stream_keys(seed, np.arange(B), BOOTSTRAP_STREAM)
     bit_gen = np.random.Philox(0)
-    gen = np.random.Generator(bit_gen)
     state = bit_gen.state               # a fresh stream's: counter 0, buffer empty
-    out = np.empty((B, n), dtype=np.int64)
+    words = np.empty((B, (n + 1) // 2), dtype=np.uint64)
     for b, key in enumerate(keys):
         state["state"]["key"] = key
         bit_gen.state = state
-        out[b] = gen.integers(0, n, size=n)
+        words[b] = bit_gen.random_raw(words.shape[1])
+    u32 = np.asarray(words, dtype="<u8").view("<u4")[:, :n]
+    redraw = (u32 * np.uint32(n) < (2**32 - n) % n).any(axis=1)   # uint32 wraps: m mod 2**32
+    out = u32.astype(np.uint64)
+    out *= np.uint64(n)
+    out >>= np.uint64(32)
+    out = out.view(np.int64)
+    for b in np.flatnonzero(redraw):
+        out[b] = bootstrap_rng(seed, b).integers(0, n, size=n)
     return out
+
+
+def _check_B(B: int, name: str = "B") -> None:
+    """Reject a bootstrap size outside [99, MAX_BOOTSTRAP_B]; the error names ``name``."""
+    if not 99 <= B <= MAX_BOOTSTRAP_B:
+        raise ValueError(f"{name} must be at least 99 and at most {MAX_BOOTSTRAP_B}, got {B}")
 
 
 def _check_seed(seed, name: str = "seed") -> int:
@@ -275,8 +303,7 @@ def _percentile_t(sys: LinearMomentSystem, B: int, seed: int, plans, coefs, null
     and ``coefs[j]``, or the :class:`GmmError` that ended it.
     """
     _check_seed(seed)
-    if B < 99:
-        raise ValueError("B must be at least 99")
+    _check_B(B)
     if sys.n < 10:
         raise ValueError("bootstrap needs at least 10 resampling units")
     for coef in coefs:

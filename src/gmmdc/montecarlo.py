@@ -27,7 +27,7 @@ from scipy import special
 from ._batch import BatchGmm, fatal_counts, ok_rows
 from .errors import GmmError
 from .estimate import FitPlan
-from .inference import Z_975, BootstrapResult, _check_seed, _percentile_t, _stream
+from .inference import Z_975, BootstrapResult, _check_B, _check_seed, _percentile_t, _stream
 from .inference import mr_bootstrap  # noqa: F401  (kept as a name; perfbench's tracer wraps it)
 from .linmoment import (
     LinearMomentSystem,
@@ -215,8 +215,8 @@ class StudyConfig:
         for est in self.estimators:
             if est not in _ESTIMATOR_PLANS:
                 raise ValueError(f"unknown estimator {est!r}")
-        if self.bootstrap_B is not None and self.bootstrap_B < 99:
-            raise ValueError("bootstrap_B must be at least 99")
+        if self.bootstrap_B is not None:
+            _check_B(self.bootstrap_B, "bootstrap_B")
         if self.bootstrap_estimators is not None:
             if not self.bootstrap_estimators:
                 raise ValueError("bootstrap_estimators must not be empty")

@@ -276,6 +276,56 @@ class TestEstimateCommand:
         assert "numerical failure" in capsys.readouterr().err
 
 
+class TestFlagsCheckedFirst:
+    """A bad ``--bootstrap``, ``--null`` or ``--seed`` exits 2 naming the flag
+    before the data file is read or any fit runs; no huge stack is allocated."""
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--bootstrap", "10000000000000"], "--bootstrap B must be at least 99 and at most 100000"),
+        (["--bootstrap", "50"], "--bootstrap B must be at least 99"),
+        (["--bootstrap", "99", "--seed", "-1"], "--seed must be a non-negative integer"),
+        (["--null", "abc"], "--null takes 1 or 2 finite values, got 'abc'"),
+        (["--null", "1,2,3"], "--null takes 1 or 2 finite values"),
+        (["--null", "1e400"], "--null takes 1 or 2 finite values"),
+    ])
+    def test_bad_flag_exits_2_before_the_read(self, iv_csv, capsys, monkeypatch, flags, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the request was not checked first")
+
+        monkeypatch.setattr(cli, "_read_csv", refuse)
+        monkeypatch.setattr(cli, "fit", refuse)
+        path, x_cols, z_cols, _ = iv_csv
+        assert main(["estimate", "iv", "--data", str(path), "--y", "y", "--x", f"{x_cols},z0",
+                     "--z", z_cols, *flags]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
+    def test_panel_null_count_is_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_read_csv", lambda path: pytest.fail("read"))
+        assert main(["estimate", "panel", "--data", "p.csv", "--id", "id", "--time", "t",
+                     "--y", "y", "--mode", "ar1", "--null", "0.5,0.5"]) == 2
+        assert "--null takes 1 or 1 finite values" in capsys.readouterr().err
+
+    def test_valid_null_and_bootstrap_still_run(self, iv_csv, tmp_path):
+        path, x_cols, z_cols, _ = iv_csv
+        out = tmp_path / "o.json"
+        assert main(["estimate", "iv", "--data", str(path), "--y", "y", "--x", x_cols,
+                     "--z", z_cols, "--null", " 0.5", "--bootstrap", "99",
+                     "--json", str(out)]) == 0
+        coef = json.loads(out.read_text())["coefficients"][0]
+        assert coef["null_value"] == 0.5 and coef["bootstrap"]["B"] == 99
+
+    @pytest.mark.parametrize("B", [10**6, 10**13])
+    def test_study_bootstrap_size_is_bounded(self, tmp_path, capsys, monkeypatch, B):
+        monkeypatch.setattr(cli, "run_study", lambda *a, **k: pytest.fail("the study started"))
+        assert main(["simulate", "--design", "iv", "--n", "60", "--reps", "2",
+                     "--bootstrap-B", str(B), "--threads", "1"]) == 2
+        assert "bootstrap_B must be at least 99 and at most 100000" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="bootstrap_B"):
+            montecarlo.StudyConfig(design=montecarlo.IvLocal(n=60, alpha0=0.0),
+                                   replications=2, bootstrap_B=B)
+
+
 def _panel_rows(panel):
     """Header and rows (id, time, y, x) of a panel, as cell strings."""
     rows = [[str(i), str(t), repr(float(panel.y[i, t])), repr(float(panel.x[i, t]))]

@@ -21,6 +21,7 @@ from gmmdc import (
     t_test,
     variance_report,
 )
+from gmmdc import inference
 from gmmdc._batch import FATAL_REASONS, BatchGmm
 from gmmdc.inference import _percentile_t, _stream_keys, bootstrap_draws, bootstrap_rng
 from conftest import SHARED_STACK_PLANS, fit_and_twin
@@ -295,3 +296,31 @@ class TestBootstrapDraws:
             mr_bootstrap(sysm, FitPlan.one_step(), 0, 99, seed=seed)
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             bootstrap_draws(seed, 99, 50)
+
+
+class TestDrawsFromRawWords:
+    """``bootstrap_draws`` applies numpy's bounded-integer step to raw Philox
+    words; a row where that step would reject a draw is drawn again from
+    ``bootstrap_rng``. A draw rejects with probability (2**32 mod n) / 2**32."""
+
+    @pytest.mark.parametrize("B, n, redrawn", [
+        (499, 6004, [18, 51, 251, 268, 360]),    # 2**32 mod n = 5896: five rows reject
+        (8, 227_271, list(range(8))),            # 2**32 mod n = 227209: every row rejects
+    ])
+    def test_redrawn_rows_equal_bootstrap_rng_streams(self, monkeypatch, B, n, redrawn):
+        rows = np.array([bootstrap_rng(13, b).integers(0, n, size=n) for b in range(B)])
+        calls = []
+
+        def spy(seed, replication):
+            calls.append(int(replication))
+            return bootstrap_rng(seed, replication)
+
+        monkeypatch.setattr(inference, "bootstrap_rng", spy)
+        draws = bootstrap_draws(13, B, n)
+        assert calls == redrawn
+        assert draws.dtype == np.int64 and np.array_equal(draws, rows)
+
+    def test_one_unit_and_no_units(self):
+        assert np.array_equal(bootstrap_draws(3, 5, 1), np.zeros((5, 1), dtype=np.int64))
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            bootstrap_draws(3, 5, 0)

@@ -2,6 +2,7 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gmmdc import (
     FitPlan,
@@ -23,7 +24,7 @@ from gmmdc import (
 )
 from gmmdc import _batch
 from gmmdc._batch import BatchGmm
-from gmmdc.linmoment import WeightFactors
+from gmmdc.linmoment import WeightFactors, _obs_mean
 from conftest import random_system
 
 
@@ -437,3 +438,22 @@ class TestHelpersAreKernelViews:
             for j in range(sysm.k):
                 assert np.array_equal(omega_derivative(sysm, point, j, centered),
                                       domega[0, :, :, j])
+
+
+@settings(max_examples=120, deadline=None)
+@given(R=st.sampled_from([1, 2, 7, 8, 64]), n=st.integers(1, 60),
+       tail=st.sampled_from([(1,), (2,), (4,), (16,), (17,), (21,), (4, 1), (4, 2), (8, 2),
+                             (21, 1), (3, 7)]),
+       contiguous=st.booleans(), keepdims=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_property_obs_mean_is_numpy_mean_bit_for_bit(R, n, tail, contiguous, keepdims, seed):
+    """Both sides of the shape rule (R below and from 8, row width m = 1,
+    2 <= m <= 16, m >= 17, strided input) give ``a.mean(axis=1)``'s bits, on values spread
+    over 16 decades, where any change of summation order shows."""
+    rng = np.random.default_rng(seed)
+    shape = (R, n if contiguous else 2 * n, *tail)
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    if not contiguous:
+        a = a[:, ::2]
+    got, want = _obs_mean(a, keepdims), a.mean(axis=1, keepdims=keepdims)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
