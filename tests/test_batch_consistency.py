@@ -251,6 +251,74 @@ def test_from_stack_rejects_different_weight_cores():
         BatchGmm.from_stack([iv, rescaled])
 
 
+class _SpySequence:
+    """A sequence of systems that records every item read."""
+
+    def __init__(self, systems):
+        self.systems, self.reads = systems, []
+
+    def __len__(self):
+        return len(self.systems)
+
+    def __getitem__(self, i):
+        self.reads.append(i)
+        return self.systems[i]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestStackFromSequence:
+    """``from_stack`` reads its sequence once, in order, into arrays sized
+    from the first system: a lazy sequence never holds a list of systems."""
+
+    @pytest.mark.parametrize("label", ["iv", "panel"])
+    def test_reads_each_item_once_in_order(self, label):
+        systems = _stacks()[label]
+        spy = _SpySequence(systems)
+        batch = BatchGmm.from_stack(spy)
+        assert spy.reads == list(range(len(systems)))
+        for got, attr in ((batch.h, "h"), (batch.G, "G_obs"), (batch.Z_obs, "Z_obs")):
+            assert np.array_equal(_bits(got), _bits(np.stack([getattr(s, attr) for s in systems])))
+        assert batch.H is systems[0].H
+        listed = BatchGmm.from_stack(list(systems))
+        for a, b in ((batch.h, listed.h), (batch.G, listed.G), (batch.Z_obs, listed.Z_obs)):
+            assert np.array_equal(_bits(a), _bits(b))
+
+    def test_a_later_row_with_another_core_raises(self):
+        iv = _stacks()["iv"]
+        rescaled = LinearMomentSystem(h=iv[2].h, G_obs=iv[2].G_obs, Z_obs=iv[2].Z_obs, H=[[2.0]])
+        bare = LinearMomentSystem(h=iv[2].h, G_obs=iv[2].G_obs)
+        for rows in ([iv[0], iv[1], rescaled], [iv[0], iv[1], bare], [bare, iv[0]]):
+            with pytest.raises(ValueError, match="same core H"):
+                BatchGmm.from_stack(rows)
+        plain = BatchGmm.from_stack([bare, bare])
+        assert plain.Z_obs is None and plain.H is None
+
+    def test_a_later_row_of_another_shape_raises(self):
+        y, X, Z = dgp_iv(40, 0.0, ReplicationStreams(57, 2))
+        two = build_iv_system(y, np.column_stack([X, Z[:, 0]]), Z)
+        one = build_iv_system(y, X, Z)
+        with pytest.raises(ValueError, match="share their shapes"):
+            BatchGmm.from_stack([two, one])
+
+    def test_an_empty_sequence_raises_value_error(self):
+        with pytest.raises(ValueError, match="empty"):
+            BatchGmm.from_stack([])
+
+    def test_system_rows_are_views_of_the_stack(self):
+        systems = _stacks()["panel"]
+        batch = BatchGmm.from_stack(systems)
+        for r, sysm in enumerate(systems):
+            row = batch.system(r)
+            for got, want, stacked in ((row.h, sysm.h, batch.h), (row.G_obs, sysm.G_obs, batch.G),
+                                       (row.Z_obs, sysm.Z_obs, batch.Z_obs)):
+                assert np.array_equal(_bits(got), _bits(want))
+                assert np.shares_memory(got, stacked[r])
+            assert row.H is batch.H
+
+
 def test_nonconvergence_is_a_nonfatal_reason():
     y, X, Z = dgp_iv(60, 0.8, ReplicationStreams(2, 2))
     res = BatchGmm.from_stack([build_iv_system(y, X, Z)]).run(

@@ -277,8 +277,9 @@ class TestEstimateCommand:
 
 
 class TestFlagsCheckedFirst:
-    """A bad ``--bootstrap``, ``--null`` or ``--seed`` exits 2 naming the flag
-    before the data file is read or any fit runs; no huge stack is allocated."""
+    """A bad ``--bootstrap``, ``--null`` or ``--seed``, or ``--se-kind w`` with a
+    one-step fit, exits 2 naming the flag before the data file is read or any
+    fit runs; no huge stack is allocated."""
 
     @pytest.mark.parametrize("flags, message", [
         (["--bootstrap", "10000000000000"], "--bootstrap B must be at least 99 and at most 100000"),
@@ -287,6 +288,8 @@ class TestFlagsCheckedFirst:
         (["--null", "abc"], "--null takes 1 or 2 finite values, got 'abc'"),
         (["--null", "1,2,3"], "--null takes 1 or 2 finite values"),
         (["--null", "1e400"], "--null takes 1 or 2 finite values"),
+        (["--se-kind", "w", "--estimator", "one-step"],
+         "--se-kind w needs a two-step or iterated --estimator"),
     ])
     def test_bad_flag_exits_2_before_the_read(self, iv_csv, capsys, monkeypatch, flags, message):
         def refuse(*args, **kwargs):

@@ -8,6 +8,7 @@ from gmmdc import (
     FitPlan,
     LinearMomentSystem,
     PanelDataset,
+    PanelRandomCoef,
     ReplicationStreams,
     SingularWeightError,
     WeightSpec,
@@ -17,6 +18,7 @@ from gmmdc import (
     dgp_panel_lag,
     dgp_panel_rc,
     differencing_weight,
+    draw_system,
     fit,
     m_contributions,
     moment_stats,
@@ -24,7 +26,8 @@ from gmmdc import (
 )
 from gmmdc import _batch
 from gmmdc._batch import BatchGmm
-from gmmdc.linmoment import WeightFactors, _obs_mean
+from gmmdc import linmoment
+from gmmdc.linmoment import WeightFactors, _obs_mean, full_factors
 from conftest import random_system
 
 
@@ -457,3 +460,46 @@ def test_property_obs_mean_is_numpy_mean_bit_for_bit(R, n, tail, contiguous, kee
     got, want = _obs_mean(a, keepdims), a.mean(axis=1, keepdims=keepdims)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+
+
+def _one_product_mean(Z, H):
+    """The data-average weight as one product over the whole stack."""
+    *lead, n, e, q = Z.shape
+    Zf = Z.reshape(*lead, n * e, q)
+    prod = np.swapaxes(Zf, -1, -2) @ (H @ Z).reshape(*lead, n * e, q) / n
+    return 0.5 * (prod + np.swapaxes(prod, -1, -2))
+
+
+def _factor_stacks():
+    panel = [draw_system(PanelRandomCoef(N=200, T=8, alpha0=0.0), ReplicationStreams(22, r))
+             for r in range(64)]
+    rng = np.random.default_rng(31)
+    W = rng.standard_normal((5, 40, 6, 6))
+    return {
+        "panel (64, 200, 6, 21)": WeightFactors(np.stack([s.Z_obs for s in panel]), panel[0].H),
+        "full factors": full_factors(W + np.swapaxes(W, -1, -2)),
+        "R = 1": WeightFactors(panel[0].Z_obs[None], panel[0].H),
+        "one system": WeightFactors(panel[0].Z_obs, panel[0].H),
+        "iv (499, 100, 1, 4)": WeightFactors(rng.standard_normal((499, 100, 1, 4)), np.ones((1, 1))),
+    }
+
+
+class TestBlockedWeightMean:
+    """``WeightFactors.mean`` forms H Z_i in blocks of replications, bit for
+    bit the single product over the whole stack."""
+
+    @pytest.mark.parametrize("rows_per_block", [None, 1, 3])
+    def test_blocks_equal_the_single_product(self, monkeypatch, rows_per_block):
+        for label, w in _factor_stacks().items():
+            if rows_per_block is not None:
+                n, e, q = w.Z.shape[-3:]
+                monkeypatch.setattr(linmoment, "MEAN_BLOCK", rows_per_block * n * e * q)
+            got, want = w.mean(), _one_product_mean(w.Z, w.H)
+            assert got.shape == want.shape, label
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), label
+
+    def test_a_panel_chunk_spans_several_blocks_of_many_iv_rows(self):
+        """The default bound splits the panel case above, and never loops
+        over narrow IV replications one at a time."""
+        assert 64 * 200 * 6 * 21 > 8 * linmoment.MEAN_BLOCK
+        assert linmoment.MEAN_BLOCK // (100 * 1 * 4) >= 100

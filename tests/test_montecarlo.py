@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -315,6 +316,59 @@ class TestRunStudy:
                           estimators=("two",), seed=23)
         block = run_study(cfg, threads=2).estimators["two"]
         assert 0.04 <= block.reject_conv <= 0.06
+
+
+class TestChunkMemory:
+    """A study chunk holds one copy of its moment arrays: replications are
+    drawn into the stack one at a time, and bootstrapped rows are views."""
+
+    def test_chunk_peak_is_within_1_6_stacks(self):
+        design = PanelRandomCoef(N=200, T=8, alpha0=0.0)
+        cfg = StudyConfig(design=design, replications=64, estimators=("one", "two", "iter"),
+                          seed=22)
+        montecarlo._chunk_records(cfg, 0, 2)
+        one = draw_system(design, ReplicationStreams(cfg.seed, 0))
+        stack = 64 * (one.h.nbytes + one.G_obs.nbytes + one.Z_obs.nbytes)
+        tracemalloc.start()
+        try:
+            montecarlo._chunk_records(cfg, 0, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * stack, (peak, stack)
+
+    def test_bootstrapped_rows_are_stack_views_taken_when_needed(self, monkeypatch):
+        rows, seen = [], []
+        system, percentile_t = BatchGmm.system, montecarlo._percentile_t
+
+        def spy_system(self, r):
+            rows.append(r)
+            view = system(self, r)
+            assert np.shares_memory(view.h, self.h) and np.shares_memory(view.Z_obs, self.Z_obs)
+            seen.append(view)
+            return view
+
+        def spy_percentile_t(sysm, *args):
+            assert sysm is seen[-1]
+            return percentile_t(sysm, *args)
+
+        draw = montecarlo.draw_system
+
+        def draw_some_singular(design, streams, fixed_misspec=False):
+            sysm = draw(design, streams, fixed_misspec)
+            if streams.replication != 2:
+                return sysm
+            return LinearMomentSystem(h=np.zeros_like(sysm.h), G_obs=np.zeros_like(sysm.G_obs),
+                                      Z_obs=np.zeros_like(sysm.Z_obs), H=sysm.H)
+
+        monkeypatch.setattr(BatchGmm, "system", spy_system)
+        monkeypatch.setattr(montecarlo, "_percentile_t", spy_percentile_t)
+        monkeypatch.setattr(montecarlo, "draw_system", draw_some_singular)
+        cfg = StudyConfig(design=IvLocal(n=40, alpha0=0.2), replications=5,
+                          estimators=("one", "two"), seed=4, bootstrap_B=99)
+        records = montecarlo._chunk_records(cfg, 0, 5)
+        assert rows == [0, 1, 3, 4]
+        assert np.isnan(records["one"]["boot"][2]) and np.isfinite(records["one"]["boot"][rows]).all()
 
 
 def _boot_seed(cfg, r):
