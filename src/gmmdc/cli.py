@@ -292,7 +292,7 @@ def cmd_estimate(args) -> dict:
     if args.bootstrap is not None:
         with stages("bootstrap"):
             (boots,) = _percentile_t(sys_, args.bootstrap, args.seed, [plan], range(sys_.k),
-                                     nulls, [(fit_result.theta, report.se_dc)])
+                                     nulls, [(fit_result.theta, report.se_dc)], "--bootstrap B")
 
     coefficients = []
     for c, name in enumerate(coef_names):

@@ -37,6 +37,10 @@ Z_975 = float(special.ndtri(0.975))
 #: B, and far fewer resamples settle a percentile-t critical value.
 MAX_BOOTSTRAP_B = 10**5
 
+#: The largest resample stack a bootstrap allocates (1 GiB): B n (q + q k + e q)
+#: float64 entries of h, G and the weight factors Z_obs (e rows each).
+MAX_RESAMPLE_BYTES = 2**30
+
 
 @dataclass(frozen=True)
 class TestResult:
@@ -293,17 +297,25 @@ def _unwrap(result):
     return result
 
 
-def _percentile_t(sys: LinearMomentSystem, B: int, seed: int, plans, coefs, nulls, bases=None):
+def _percentile_t(sys: LinearMomentSystem, B: int, seed: int, plans, coefs, nulls, bases=None,
+                  name: str = "B"):
     """The bootstrap of each plan in ``plans`` and coefficient in ``coefs``
     (against ``nulls``) on one stack of ``B`` resamples of ``sys``, each plan
     run on it once.
 
     ``bases`` gives each plan's full-sample (theta, se_dc); by default it is
     fitted here. Entry [p][j] is the :class:`BootstrapResult` of ``plans[p]``
-    and ``coefs[j]``, or the :class:`GmmError` that ended it.
+    and ``coefs[j]``, or the :class:`GmmError` that ended it. A ``B`` out of
+    range, or whose resample stack would exceed :data:`MAX_RESAMPLE_BYTES`,
+    raises a ``ValueError`` naming ``name`` before anything is drawn.
     """
     _check_seed(seed)
-    _check_B(B)
+    _check_B(B, name)
+    e = 0 if sys.Z_obs is None else sys.Z_obs.shape[1]
+    size = 8 * B * sys.n * sys.q * (1 + sys.k + e)
+    if size > MAX_RESAMPLE_BYTES:
+        raise ValueError(f"{name} = {B} resamples of {sys.n} units need a {size / 2**30:.1f} GiB "
+                         f"resample stack, more than the {MAX_RESAMPLE_BYTES / 2**30:g} GiB bound")
     if sys.n < 10:
         raise ValueError("bootstrap needs at least 10 resampling units")
     for coef in coefs:

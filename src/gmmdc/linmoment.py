@@ -211,6 +211,21 @@ def _preliminary_weight(spec: WeightSpec, h: np.ndarray, G: np.ndarray,
     return _omega(g), WeightFactors.rank_one(g)
 
 
+def _check_arrays(h, G_obs, Z_obs, H) -> None:
+    """The checks a :class:`LinearMomentSystem` makes of its arrays, also on
+    stacks of them: sizes (n, q, k), finite entries and a symmetric ``H``."""
+    n, q, k = G_obs.shape[-3:]
+    if not (q >= k >= 1):
+        raise ValueError(f"need q >= k >= 1, got q={q}, k={k}")
+    if n <= q:
+        raise ValueError(f"need n > q for nonsingular sample moments, got n={n}, q={q}")
+    for name, a in (("h", h), ("G_obs", G_obs), ("Z_obs", Z_obs), ("H", H)):
+        if a is not None and not np.isfinite(a).all():
+            raise ValueError(f"{name} has missing or non-finite entries")
+    if H is not None and not np.array_equal(H, H.T):
+        raise ValueError("H must be symmetric")
+
+
 class LinearMomentSystem:
     """Per-observation moment constants and Jacobians of a linear GMM model.
 
@@ -250,11 +265,6 @@ class LinearMomentSystem:
         n, q = h.shape
         if G.ndim != 3 or G.shape[:2] != (n, q):
             raise ValueError("G_obs must be an (n, q, k) array matching h")
-        k = G.shape[2]
-        if not (q >= k >= 1):
-            raise ValueError(f"need q >= k >= 1, got q={q}, k={k}")
-        if n <= q:
-            raise ValueError(f"need n > q for nonsingular sample moments, got n={n}, q={q}")
         if (Z_obs is None) != (H is None):
             raise ValueError("Z_obs and H must be given together")
         if W_obs is not None:
@@ -275,11 +285,7 @@ class LinearMomentSystem:
                 raise ValueError("Z_obs must be an (n, e, q) array")
             if H.shape != (Z_obs.shape[1],) * 2:
                 raise ValueError("H must be an (e, e) array matching Z_obs")
-        for name, a in (("h", h), ("G_obs", G), ("Z_obs", Z_obs), ("H", H)):
-            if a is not None and not np.isfinite(a).all():
-                raise ValueError(f"{name} has missing or non-finite entries")
-        if H is not None and not np.array_equal(H, H.T):
-            raise ValueError("H must be symmetric")
+        _check_arrays(h, G, Z_obs, H)
         vars(self).update(h=h, G_obs=G, Z_obs=Z_obs, H=H)
 
     def __setattr__(self, name, value):
@@ -463,37 +469,40 @@ def build_ab_system(panel: PanelDataset, mode: str = "predetermined") -> LinearM
     ValueError
         If T < 3 or the panel is unbalanced.
     """
+    h, G, Z, H = _build_diff_gmm(panel.y, panel.x, mode)
+    return LinearMomentSystem(h=h, G_obs=G, Z_obs=Z, H=H)
+
+
+def _build_diff_gmm(y: np.ndarray, x: Optional[np.ndarray], mode: str):
+    """h, G_obs, Z_obs and H of the difference-GMM systems of panels y and x
+    (..., N, T) with any leading replication axes (see :func:`build_ab_system`);
+    the arrays are C-contiguous and unchecked."""
     if mode not in ("predetermined", "ar1"):
         raise ValueError(f"unknown mode {mode!r}")
-    if panel.T < 3:
+    if y.shape[-1] < 3:
         raise ValueError("difference GMM needs T >= 3")
     if mode == "ar1":
         # Relabel so the lagged outcome is an ordinary predetermined regressor
         # observed over T-1 periods.
-        return _build_diff_gmm(panel.y[:, 1:], panel.y[:, :-1])
-    if panel.x is None:
+        y, x = y[..., 1:], y[..., :-1]
+    elif x is None:
         raise ValueError("predetermined mode requires a regressor column")
-    return _build_diff_gmm(panel.y, panel.x)
-
-
-def _build_diff_gmm(y: np.ndarray, x: np.ndarray) -> LinearMomentSystem:
-    N, T = y.shape
+    *lead, N, T = y.shape
     e = T - 1                      # differenced equations t = 2..T
     q = T * (T - 1) // 2
-    dy = np.diff(y, axis=1)        # (N, T-1)
-    dx = np.diff(x, axis=1)
 
-    # Zmat[i] is the (T-1) x q instrument matrix diag(z_i2', ..., z_iT').
-    Zmat = np.zeros((N, e, q))
+    # Zmat[..., i, :, :] is the (T-1) x q instrument matrix diag(z_i2', ..., z_iT').
+    Zmat = np.zeros((*lead, N, e, q))
     off = 0
     for t in range(2, T + 1):
         width = t - 1
-        Zmat[:, t - 2, off:off + width] = x[:, :width]
+        Zmat[..., t - 2, off:off + width] = x[..., :width]
         off += width
 
-    h = np.einsum("net,ne->nt", Zmat, dy)
-    G_obs = -np.einsum("net,ne->nt", Zmat, dx)[:, :, None]
-    return LinearMomentSystem(h=h, G_obs=G_obs, Z_obs=Zmat, H=differencing_weight(e))
+    h = np.einsum("...net,...ne->...nt", Zmat, np.diff(y, axis=-1))
+    G_obs = np.einsum("...net,...ne->...nt", Zmat, np.diff(x, axis=-1))[..., None]
+    np.negative(G_obs, out=G_obs)
+    return h, G_obs, Zmat, differencing_weight(e)
 
 
 def moment_stats(sys: LinearMomentSystem, theta: np.ndarray) -> MomentStats:

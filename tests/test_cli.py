@@ -14,6 +14,7 @@ from scipy import stats as spstats
 from gmmdc import (
     FitPlan,
     ReplicationStreams,
+    build_ab_system,
     build_iv_system,
     dgp_iv,
     dgp_panel_lag,
@@ -22,7 +23,7 @@ from gmmdc import (
     mr_bootstrap,
     variance_report,
 )
-from gmmdc import cli, montecarlo
+from gmmdc import cli, inference, montecarlo
 from gmmdc._batch import BatchGmm
 from gmmdc.cli import main
 import csv_oracle
@@ -327,6 +328,51 @@ class TestFlagsCheckedFirst:
         with pytest.raises(ValueError, match="bootstrap_B"):
             montecarlo.StudyConfig(design=montecarlo.IvLocal(n=60, alpha0=0.0),
                                    replications=2, bootstrap_B=B)
+
+
+class TestBootstrapStackBound:
+    """A bootstrap whose resample stack, B n (q + q k + e q) float64 entries,
+    would pass ``inference.MAX_RESAMPLE_BYTES`` stops before any draw."""
+
+    @pytest.fixture
+    def refuse_draws(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("bootstrap_draws was called")
+
+        monkeypatch.setattr(inference, "bootstrap_draws", refuse)
+
+    def test_large_iv_file_exits_2_naming_bootstrap(self, tmp_path, capsys, refuse_draws):
+        y, X, Z = dgp_iv(5000, 0.0, ReplicationStreams(3, 0))
+        path = tmp_path / "big.csv"
+        x_cols, z_cols = write_iv_csv(path, y, X, Z)
+        assert main(["estimate", "iv", "--data", str(path), "--y", "y", "--x", x_cols,
+                     "--z", z_cols, "--bootstrap", "100000"]) == 2
+        captured = capsys.readouterr()
+        assert ("--bootstrap B = 100000 resamples of 5000 units need a 44.7 GiB resample "
+                "stack, more than the 1 GiB bound") in captured.err
+        assert captured.out == ""
+
+    def test_library_and_study_name_their_size(self, refuse_draws):
+        sysm = build_iv_system(*dgp_iv(5000, 0.0, ReplicationStreams(3, 0)))
+        with pytest.raises(ValueError, match="^B = 100000 resamples of 5000 units"):
+            mr_bootstrap(sysm, FitPlan.two_step(), 0, 10**5, seed=1)
+        cfg = montecarlo.StudyConfig(design=montecarlo.IvLocal(n=5000, alpha0=0.0),
+                                     replications=1, estimators=("two",), bootstrap_B=10**5)
+        with pytest.raises(ValueError, match="^bootstrap_B = 100000 resamples"):
+            montecarlo.run_study(cfg)
+
+    def test_a_499_resample_panel_bootstrap_is_within_the_bound(self, monkeypatch):
+        """The largest bootstrap the tests and the benchmark run: 210 MB."""
+        class Reached(Exception):
+            pass
+
+        def reached(seed, B, n):
+            raise Reached
+
+        monkeypatch.setattr(inference, "bootstrap_draws", reached)
+        sysm = build_ab_system(dgp_panel_lag(500, 6, 0.0, ReplicationStreams(3, 0)))
+        with pytest.raises(Reached):
+            mr_bootstrap(sysm, FitPlan.two_step(), 0, 499, seed=1)
 
 
 def _panel_rows(panel):
@@ -638,6 +684,16 @@ class TestSimulateCommand:
         captured = capsys.readouterr()
         assert "fixed_misspec applies to the IV design only" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("design, N, T, message", [
+        ("panel-rc", 15, 8, "need n > q for nonsingular sample moments, got n=15, q=21"),
+        ("panel-rc", 50, 2, "need T >= 3"),
+        ("panel-lag", 50, 2, "difference GMM needs T >= 3"),
+    ])
+    def test_panel_sizes_the_build_rejects_exit_2(self, capsys, design, N, T, message):
+        assert main(["simulate", "--design", design, "--N", str(N), "--T", str(T),
+                     "--reps", "3", "--threads", "1"]) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("form", ["flag", "config"])

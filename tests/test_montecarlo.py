@@ -337,6 +337,24 @@ class TestChunkMemory:
             tracemalloc.stop()
         assert peak <= 1.6 * stack, (peak, stack)
 
+    def test_panel_lag_chunk_peak_is_within_1_8_stacks(self):
+        """The omitted-lag design draws 50 burn-in periods per individual; its
+        stacked draw forms them in blocks of replications, so the kernel's
+        fit, not the draw, sets the chunk's peak (1.74 stacks, as when every
+        replication was drawn alone)."""
+        design = PanelLagMiss(N=500, T=4, alpha0=0.0)
+        cfg = StudyConfig(design=design, replications=64, estimators=("two",), seed=22)
+        montecarlo._chunk_records(cfg, 0, 2)
+        one = draw_system(design, ReplicationStreams(cfg.seed, 0))
+        stack = 64 * (one.h.nbytes + one.G_obs.nbytes + one.Z_obs.nbytes)
+        tracemalloc.start()
+        try:
+            montecarlo._chunk_records(cfg, 0, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.8 * stack, (peak, stack)
+
     def test_bootstrapped_rows_are_stack_views_taken_when_needed(self, monkeypatch):
         rows, seen = [], []
         system, percentile_t = BatchGmm.system, montecarlo._percentile_t
@@ -369,6 +387,78 @@ class TestChunkMemory:
         records = montecarlo._chunk_records(cfg, 0, 5)
         assert rows == [0, 1, 3, 4]
         assert np.isnan(records["one"]["boot"][2]) and np.isfinite(records["one"]["boot"][rows]).all()
+
+
+def _per_system_stack(cfg, reps):
+    """The stack of ``reps`` made one system at a time, the stacked draw's definition."""
+    return BatchGmm.from_stack([draw_system(cfg.design, ReplicationStreams(cfg.seed, r))
+                                for r in reps])
+
+
+class TestStackedDraws:
+    """A panel chunk is drawn and built as (R, ...) arrays, bit for bit the
+    rows of its replications' one-system draws."""
+
+    @pytest.mark.parametrize("design", [PanelRandomCoef(N=40, T=5, alpha0=0.5),
+                                        PanelLagMiss(N=30, T=4, alpha0=0.3)])
+    @pytest.mark.parametrize("seed, lo, hi", [(3, 0, 64), (3, 64, 70), (2**70 + 3, 5, 12),
+                                              (7, 2**32 - 3, 2**32 + 3)])
+    @pytest.mark.parametrize("block", [montecarlo.DRAW_BLOCK, 1, 5000])
+    def test_stack_equals_the_one_system_rows(self, monkeypatch, design, seed, lo, hi, block):
+        """Replications from 2**32 on take their keys from ``SeedSequence``;
+        a bound of 1 entry draws one replication per block, 5000 a few."""
+        monkeypatch.setattr(montecarlo, "DRAW_BLOCK", block)
+        cfg = StudyConfig(design=design, replications=1, seed=seed)
+        got, want = montecarlo._draw_stack(cfg, range(lo, hi)), _per_system_stack(cfg, range(lo, hi))
+        for name in ("h", "G", "Z_obs", "H"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.flags.c_contiguous and a.shape == b.shape, name
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
+
+    @pytest.mark.parametrize("design", [PanelRandomCoef(N=30, T=4, alpha0=0.2),
+                                        PanelLagMiss(N=30, T=3, alpha0=0.2)])
+    def test_chunk_straddling_replication_2_32_records_equal(self, monkeypatch, design):
+        cfg = StudyConfig(design=design, replications=1, estimators=("one", "two", "iter"),
+                          seed=2**70 + 3, bootstrap_B=99, bootstrap_estimators=("two",))
+        lo, hi = 2**32 - 3, 2**32 + 3
+        got = montecarlo._chunk_records(cfg, lo, hi)
+        monkeypatch.setattr(montecarlo, "_draw_stack", _per_system_stack)
+        want = montecarlo._chunk_records(cfg, lo, hi)
+        for est in cfg.estimators:
+            assert ok_rows(got[est]["reason"]).all()
+            for name, value in want[est].items():
+                np.testing.assert_array_equal(got[est][name], value, err_msg=f"{est}.{name}")
+
+    def test_iv_stays_on_the_one_system_draws(self, monkeypatch):
+        drawn = []
+        draw = montecarlo.draw_system
+
+        def spy(design, streams, fixed_misspec=False):
+            drawn.append(streams.replication)
+            return draw(design, streams, fixed_misspec)
+
+        monkeypatch.setattr(montecarlo, "draw_system", spy)
+        cfg = StudyConfig(design=IvLocal(n=40, alpha0=0.0), replications=1, seed=5)
+        montecarlo._draw_stack(cfg, range(8, 12))
+        assert drawn == [8, 9, 10, 11]
+
+    @pytest.mark.parametrize("design", [
+        PanelRandomCoef(N=15, T=8, alpha0=0.0),      # N <= q = 21
+        PanelRandomCoef(N=40, T=2, alpha0=0.0),
+        PanelLagMiss(N=5, T=4, alpha0=0.0),          # N <= q = 6
+        PanelLagMiss(N=40, T=2, alpha0=0.0),
+        PanelLagMiss(N=40, T=1, alpha0=0.0),
+        PanelRandomCoef(N=40, T=4, alpha0=50.0),     # rho = 1: non-finite cells
+    ])
+    def test_study_errors_are_the_one_system_errors(self, design):
+        with pytest.raises(ValueError) as one:
+            with np.errstate(all="ignore"):
+                draw_system(design, ReplicationStreams(9, 0))
+        cfg = StudyConfig(design=design, replications=3, seed=9)
+        with pytest.raises(ValueError) as study:
+            with np.errstate(all="ignore"):
+                run_study(cfg)
+        assert str(study.value) == str(one.value)
 
 
 def _boot_seed(cfg, r):
