@@ -138,7 +138,7 @@ _DIALECT = dict(delimiter=",", quotechar='"', comments=None, ndmin=2)
 def _read_csv(path: str):
     """Column positions by name (the last of repeated names) and the data
     lines of a CSV file, blank lines dropped."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:       # a byte-order mark is skipped
         lines = fh.read().split("\n")
     if lines[-1] == "":
         lines.pop()

@@ -6,17 +6,17 @@ with replacement, studentizes by the doubly corrected standard error, and
 needs no moment recentering; critical values are symmetric quantiles of |t*|.
 Resample b draws its indices from the Philox stream keyed by (seed, b)
 (:func:`bootstrap_rng`); :func:`bootstrap_draws` draws all B rows of one
-stack at once, bit for bit the same: the B keys hashed in one vectorized
-pass, each row's raw Philox words from one re-keyed bit generator, and
-numpy's bounded-integer step applied to the whole matrix. A bootstrap takes
-99 to :data:`MAX_BOOTSTRAP_B` resamples.
+stack at once, bit for bit the same, and applies numpy's bounded-integer
+step to the whole matrix. A bootstrap takes 99 to :data:`MAX_BOOTSTRAP_B`
+resamples. Every stream of the package is keyed here: :func:`_stream`
+defines one, and :class:`_Streams` draws stacks of them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 from scipy import special
@@ -140,28 +140,20 @@ def bootstrap_draws(seed: int, B: int, n: int) -> np.ndarray:
     """The (B, n) int64 resample indices of replications 0, ..., B - 1: row b
     is ``bootstrap_rng(seed, b).integers(0, n, size=n)``, bit for bit.
 
-    The B Philox keys come from one vectorized hash (:func:`_stream_keys`);
-    one bit generator, re-keyed per row with a zero counter and an empty
-    buffer, gives each row's ceil(n/2) raw 64-bit words. Read as explicit
-    little-endian uint32 pairs, on any host, each word gives its low and
-    then its high half, the order of Philox's ``next_uint32``. numpy's
-    bounded-integer step (Lemire 2019) then runs on the whole matrix at
-    once: m = u32 n, index = m >> 32. A row where that step would reject a
-    draw, (m mod 2**32) < (2**32 - n) mod n, is drawn again from its
-    definition.
+    Each row's ceil(n/2) raw 64-bit words come from its stream in
+    :class:`_Streams`. Read as explicit little-endian uint32 pairs, on any
+    host, each word gives its low and then its high half, the order of
+    Philox's ``next_uint32``. numpy's bounded-integer step (Lemire 2019) then
+    runs on the whole matrix at once: m = u32 n, index = m >> 32. A row where
+    that step would reject a draw, (m mod 2**32) < (2**32 - n) mod n, is
+    drawn again from its definition.
     """
     seed = _check_seed(seed)
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    keys = _stream_keys(seed, np.arange(B), BOOTSTRAP_STREAM)
-    bit_gen = np.random.Philox(0)
-    state = bit_gen.state               # a fresh stream's: counter 0, buffer empty
-    words = np.empty((B, (n + 1) // 2), dtype=np.uint64)
-    for b, key in enumerate(keys):
-        state["state"]["key"] = key
-        bit_gen.state = state
-        words[b] = bit_gen.random_raw(words.shape[1])
-    u32 = np.asarray(words, dtype="<u8").view("<u4")[:, :n]
+    words = _Streams.of(seed, np.arange(B)).draw(
+        BOOTSTRAP_STREAM, lambda g: g.bit_generator.random_raw((n + 1) // 2))
+    u32 = np.asarray(words, dtype="<u8").view("<u4").reshape(B, n + n % 2)[:, :n]
     redraw = (u32 * np.uint32(n) < (2**32 - n) % n).any(axis=1)   # uint32 wraps: m mod 2**32
     out = u32.astype(np.uint64)
     out *= np.uint64(n)
@@ -199,6 +191,9 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
+#: Up to this many counters, ``SeedSequence`` keys them faster than the hash.
+_FEW_COUNTERS = 12
+
 
 def _words(x: int) -> list:
     """A non-negative int as SeedSequence splits it: little-endian 32-bit
@@ -231,13 +226,14 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _stream_keys(lead: int, counters: np.ndarray, tail: int) -> np.ndarray:
     """The Philox keys (len(counters), 2) uint64 of the streams
     ``SeedSequence((lead, c, tail))``, ``generate_state(2, np.uint64)``, for
-    every counter c in [0, 2**32) at once: numpy's entropy hash, one uint32
-    array per entropy word and pool word. ``lead`` and ``tail`` are
-    non-negative ints.
+    the non-negative counters c; ``lead`` and ``tail`` are non-negative ints.
+    More than :data:`_FEW_COUNTERS` counters in [0, 2**32) go through numpy's
+    entropy hash at once, one uint32 array per entropy word and pool word;
+    any other set, through ``SeedSequence``, which rejects a negative one.
     """
-    counters = np.asarray(counters)
-    if counters.size and not 0 <= counters.min() <= counters.max() <= _MASK32:
-        raise ValueError("stream counters must lie in [0, 2**32)")
+    if counters.size <= _FEW_COUNTERS or not 0 <= counters.min() <= counters.max() <= _MASK32:
+        return np.array([np.random.SeedSequence((lead, c, tail)).generate_state(2, np.uint64)
+                         for c in counters.tolist()], dtype=np.uint64).reshape(-1, 2)
     head = _words(lead)
     words = head + [0] + _words(tail)
     entropy = np.repeat(np.array(words, dtype=np.uint32)[:, None], counters.size, axis=1)
@@ -255,6 +251,42 @@ def _stream_keys(lead: int, counters: np.ndarray, tail: int) -> np.ndarray:
     draw = _hasher(_INIT_B, _MULT_B)
     state = [draw(word).astype(np.uint64) for word in pool]
     return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
+
+
+class _Streams(NamedTuple):
+    """The streams :func:`_stream` (seed, r, block) of replications ``reps[rows]``,
+    drawn as stacks. Every row view (``_replace(rows=...)``) of :meth:`of` shares
+    ``cache``: each block's keys for all of ``reps``, from one :func:`_stream_keys`
+    pass, and one Philox generator re-keyed from a fresh stream's state (counter 0,
+    empty buffer)."""
+
+    seed: int
+    reps: np.ndarray
+    rows: slice
+    cache: dict
+
+    @classmethod
+    def of(cls, seed: int, reps: np.ndarray) -> "_Streams":
+        bit_gen = np.random.Philox(0)
+        return cls(seed, reps, slice(None), {None: (np.random.Generator(bit_gen), bit_gen.state)})
+
+    @property
+    def replication(self) -> int:
+        """The view's first replication: a one-row view's own."""
+        return int(self.reps[self.rows][0])
+
+    def draw(self, block: int, f) -> np.ndarray:
+        """The stack of ``f(_stream(seed, r, block))`` over the view's
+        replications r, bit for bit."""
+        if block not in self.cache:
+            self.cache[block] = _stream_keys(self.seed, self.reps, block)
+        gen, fresh = self.cache[None]
+        bit_gen, rows = gen.bit_generator, []
+        for key in self.cache[block][self.rows]:
+            fresh["state"]["key"] = key
+            bit_gen.state = fresh
+            rows.append(f(gen))
+        return np.array(rows)
 
 
 def critical_value(t_abs: np.ndarray, alpha: float = 0.05) -> float:

@@ -402,7 +402,7 @@ def build_iv_system(y: np.ndarray, X: np.ndarray, Z: np.ndarray) -> LinearMoment
     Raises
     ------
     ValueError
-        On dimension mismatch, missing or non-finite entries, or q < k.
+        On dimension mismatch, missing or non-finite entries, q < k or n <= q.
     SingularWeightError
         If Z'Z is rank deficient (never silently pseudo-inverted).
     """
@@ -422,6 +422,8 @@ def build_iv_system(y: np.ndarray, X: np.ndarray, Z: np.ndarray) -> LinearMoment
     k, q = X.shape[1], Z.shape[1]
     if q < k:
         raise ValueError(f"need at least as many instruments as regressors, got q={q} < k={k}")
+    if n <= q:
+        raise ValueError(f"need n > q for nonsingular sample moments, got n={n}, q={q}")
     gram = Z.T @ Z
     w = np.linalg.eigvalsh(gram)
     if w.min() <= w.max() / COND_LIMIT:

@@ -7,9 +7,10 @@ individual effect; and a dynamic panel whose estimated equation omits a lag.
 Every random variable block of every replication draws from its own
 counter-based stream keyed by (seed, replication, block), so studies are
 reproducible independent of draw order and scheduling; a replication's
-bootstrapped estimators share one set of resamples, keyed the same way. A
-panel study chunk is drawn and built as (replications, ...) arrays on those
-same streams, and an IV chunk one system at a time.
+bootstrapped estimators share one set of resamples, keyed the same way.
+:mod:`gmmdc.inference` keys all of them: a study chunk draws from its
+chunk-wide streams, a panel chunk as (replications, ...) arrays and an IV
+chunk one system at a time. This module holds the designs and the study loop.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, NamedTuple, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 from scipy import special
@@ -31,7 +32,7 @@ from ._batch import BatchGmm, fatal_counts, ok_rows
 from .errors import GmmError
 from .estimate import FitPlan
 from .inference import (Z_975, BootstrapResult, _check_B, _check_seed, _percentile_t, _stream,
-                        _stream_keys)
+                        _stream_keys, _Streams)
 from .inference import mr_bootstrap  # noqa: F401  (kept as a name; perfbench's tracer wraps it)
 from .linmoment import (
     LinearMomentSystem,
@@ -75,34 +76,6 @@ class ReplicationStreams:
     def draw(self, block: int, f) -> np.ndarray:
         """``f(generator(block))`` with a leading replication axis of length 1."""
         return f(self.generator(block))[None]
-
-
-class _StackStreams(NamedTuple):
-    """The streams of replications ``reps[rows]`` of a study, drawn as stacks;
-    ``keys`` caches each block's Philox keys for all of ``reps``."""
-
-    seed: int
-    reps: range
-    rows: slice
-    keys: dict
-
-    def draw(self, block: int, f) -> np.ndarray:
-        """The stack of ``f(ReplicationStreams(seed, r).generator(block))`` over
-        the replications r, bit for bit: one Philox bit generator re-keyed per
-        replication. Below replication 2**32 the keys come from one
-        :func:`_stream_keys` pass, from ``SeedSequence`` beyond."""
-        if block not in self.keys:
-            low = self.reps[:max(0, 2**32 - self.reps.start)]
-            self.keys[block] = [*_stream_keys(self.seed, np.arange(low.start, low.stop), block),
-                                *(np.random.SeedSequence((self.seed, r, block)).generate_state(
-                                    2, np.uint64) for r in self.reps[len(low):])]
-        bit_gen = np.random.Philox(0)
-        state, gen, rows = bit_gen.state, np.random.Generator(bit_gen), []
-        for key in self.keys[block][self.rows]:
-            state["state"]["key"] = key          # with a zero counter and an empty buffer
-            bit_gen.state = state
-            rows.append(f(gen))
-        return np.stack(rows)
 
 
 @dataclass(frozen=True)
@@ -155,9 +128,9 @@ def dgp_iv(n: int, alpha0: float, streams: ReplicationStreams,
     """
     if n < 10:
         raise ValueError("need n >= 10")
-    z = streams.generator(0).standard_normal((n, 4))
-    u = streams.generator(1).standard_normal(n)
-    v = z[:, 0] * streams.generator(2).standard_normal(n)
+    z = streams.draw(0, lambda g: g.standard_normal((n, 4)))[0]
+    u = streams.draw(1, lambda g: g.standard_normal(n))[0]
+    v = z[:, 0] * streams.draw(2, lambda g: g.standard_normal(n))[0]
     x = 0.25 * z.sum(axis=1) + u
     scale = alpha0 if fixed else alpha0 / math.sqrt(n)
     e = scale * (z[:, 0] - z[:, 1] + z[:, 2] - z[:, 3]) + 0.5 * u + math.sqrt(0.75) * v
@@ -195,40 +168,39 @@ def _panel_rc(N, T, alpha0, streams):
     return y, None
 
 
-def dgp_panel_lag(N: int, T: int, alpha0: float, streams: ReplicationStreams,
-                  burn_in: int = BURN_IN) -> PanelDataset:
+def dgp_panel_lag(N: int, T: int, alpha0: float, streams: ReplicationStreams) -> PanelDataset:
     """Draw one panel from the omitted-lag design.
 
     The outcome loads on x_it and alpha0 * x_{i,t-1}; the estimated model
     omits the lag, so alpha0 != 0 misspecifies the moment conditions. Errors
     are centered chi-square scaled by an individual factor delta_i in
     [0.5, 1.5] and a time profile tau_t = 0.5 + 0.1 (t - 1) over the kept
-    sample; ``burn_in`` periods with tau = 0.5 precede it.
+    sample; :data:`BURN_IN` periods with tau = 0.5 precede it.
     """
-    y, x = _panel_lag(N, T, alpha0, streams, burn_in)
+    y, x = _panel_lag(N, T, alpha0, streams)
     return PanelDataset(y=y[0], x=x[0])
 
 
-def _panel_lag(N, T, alpha0, streams, burn_in=BURN_IN):
+def _panel_lag(N, T, alpha0, streams):
     """Panels y and x (R, N, T) of :func:`dgp_panel_lag` for the R
     replications of ``streams``."""
     if T < 2:
         raise ValueError("need T >= 2")
-    total = burn_in + T
+    total = BURN_IN + T
     delta = streams.draw(0, lambda g: g.uniform(0.5, 1.5, N))
     eta = streams.draw(1, lambda g: g.standard_normal(N))
     eps = streams.draw(2, lambda g: g.standard_normal((N, total)))
     omega = streams.draw(3, lambda g: g.chisquare(1, (N, total))) - 1.0
     tau = np.full(total, 0.5)
-    tau[burn_in:] = 0.5 + 0.1 * np.arange(T)
+    tau[BURN_IN:] = 0.5 + 0.1 * np.arange(T)
     v = delta[..., None] * tau * omega
     x = np.empty(v.shape)
     x[..., 0] = eta / 0.5 + streams.draw(4, lambda g: g.standard_normal(N)) / math.sqrt(0.75)
     for t in range(1, total):
         x[..., t] = 0.5 * x[..., t - 1] + eta + 0.5 * v[..., t - 1] + eps[..., t]
-    y = (PanelLagMiss.true_value * x[..., burn_in:] + alpha0 * x[..., burn_in - 1:-1]
-         + eta[..., None] + v[..., burn_in:])
-    return y, x[..., burn_in:].copy()        # no view that keeps the burn-in alive
+    y = (PanelLagMiss.true_value * x[..., BURN_IN:] + alpha0 * x[..., BURN_IN - 1:-1]
+         + eta[..., None] + v[..., BURN_IN:])
+    return y, x[..., BURN_IN:].copy()        # no view that keeps the burn-in alive
 
 
 def draw_system(design: Design, streams: ReplicationStreams,
@@ -334,19 +306,18 @@ class StudySummary:
 
 
 class _Draws(Sequence):
-    """The moment systems of a study's replications ``reps``, each drawn when
-    its item is read."""
+    """The moment systems of a study's replications, each drawn when its item
+    is read, from a one-row view of the chunk's ``streams``."""
 
-    def __init__(self, cfg: StudyConfig, reps: range):
-        self.cfg, self.reps = cfg, reps
+    def __init__(self, cfg: StudyConfig, streams: _Streams):
+        self.cfg, self.streams = cfg, streams
 
     def __len__(self) -> int:
-        return len(self.reps)
+        return len(self.streams.reps)
 
     def __getitem__(self, i: int) -> LinearMomentSystem:
-        cfg = self.cfg
-        return draw_system(cfg.design, ReplicationStreams(cfg.seed, self.reps[i]),
-                           cfg.fixed_misspec)
+        return draw_system(self.cfg.design, self.streams._replace(rows=slice(i, i + 1)),
+                           self.cfg.fixed_misspec)
 
 
 #: Each panel design's stacked draw, difference-GMM mode and burn-in periods.
@@ -358,6 +329,7 @@ def _draw_stack(cfg: StudyConfig, reps: range) -> BatchGmm:
     """The kernel's stack of replications ``reps``, bit for bit
     ``BatchGmm.from_stack`` of their :func:`draw_system` systems.
 
+    Every block's streams are keyed for the chunk at once (:class:`_Streams`).
     IV replications are drawn one at a time into the stack (:class:`_Draws`).
     A panel design's recursion runs over (replications, N) arrays, in blocks
     whose (replications, N, periods) draws hold at most :data:`DRAW_BLOCK`
@@ -367,14 +339,12 @@ def _draw_stack(cfg: StudyConfig, reps: range) -> BatchGmm:
     ms (172) and panel-rc N=200, T=8 10 ms (17); 2**18 was as fast but
     doubled the N=100 draw's peak, and 2**16 took 14 ms on panel-rc.
     """
-    design = cfg.design
+    design, streams = cfg.design, _Streams.of(cfg.seed, np.arange(reps.start, reps.stop))
     if isinstance(design, IvLocal):
-        return BatchGmm.from_stack(_Draws(cfg, reps))
+        return BatchGmm.from_stack(_Draws(cfg, streams))
     body, mode, burn_in = _PANELS[type(design)]
     step = max(1, DRAW_BLOCK // max(1, design.N * (design.T + burn_in)))
-    keys = {}
-    panels = [body(design.N, design.T, design.alpha0,
-                   _StackStreams(cfg.seed, reps, slice(lo, lo + step), keys))
+    panels = [body(design.N, design.T, design.alpha0, streams._replace(rows=slice(lo, lo + step)))
               for lo in range(0, len(reps), step)]
     y, x = (None if a[0] is None else np.concatenate(a) for a in zip(*panels))
     del panels
@@ -414,13 +384,13 @@ def _chunk_records(cfg: StudyConfig, lo: int, hi: int) -> Dict[str, Dict[str, np
                     "boot": np.full(R, np.nan), "boot_failures": np.zeros(R)}
 
     boot_ests = [est for est in cfg.estimators if cfg.wants_bootstrap(est)]
-    for i, r in enumerate(reps):
+    if boot_ests:   # the keys' low words: SeedSequence's generate_state(1)[0]
+        seeds = _stream_keys(cfg.seed, np.arange(lo, hi), _BOOT_SEED_BLOCK)[:, 0].astype(np.uint32)
+    for i in range(R):
         ests = [est for est in boot_ests if results[est].ok[i]]
         if not ests:
             continue
-        boot_seed = int(np.random.SeedSequence(
-            (cfg.seed, r, _BOOT_SEED_BLOCK)).generate_state(1)[0])
-        found = _percentile_t(batch.system(i), cfg.bootstrap_B, boot_seed,
+        found = _percentile_t(batch.system(i), cfg.bootstrap_B, int(seeds[i]),
                               [cfg.plan(est) for est in ests], [0], [cfg.design.true_value],
                               [(results[est].theta[i], results[est].se_dc[i]) for est in ests],
                               "bootstrap_B")

@@ -276,6 +276,21 @@ class TestEstimateCommand:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_too_few_rows_exit_2(self, tmp_path, capsys, n):
+        """A header without data rows, or 2 rows with 3 instruments, is a data
+        error; it used to exit 3 calling Z'Z rank deficient."""
+        rng = np.random.default_rng(6)
+        path = tmp_path / "short.csv"
+        x_cols, z_cols = write_iv_csv(path, rng.standard_normal(n), rng.standard_normal((n, 1)),
+                                      rng.standard_normal((n, 3)))
+        assert len(path.read_text().splitlines()) == n + 1
+        code = main(["estimate", "iv", "--data", str(path), "--y", "y",
+                     "--x", x_cols, "--z", z_cols])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"need n > q for nonsingular sample moments, got n={n}, q=3" in err
+
 
 class TestFlagsCheckedFirst:
     """A bad ``--bootstrap``, ``--null`` or ``--seed``, or ``--se-kind w`` with a
@@ -450,6 +465,24 @@ class TestCsvReader:
                 fh.write(",".join(row) + ("\n\n" if r % 7 == 0 else "\n"))
             fh.write("\n\n")
         assert _estimate_panel(gappy, tmp_path) == _estimate_panel(plain, tmp_path)
+
+    def test_byte_order_mark_is_skipped(self, panel, iv_csv, tmp_path):
+        """Excel's "CSV UTF-8" starts a file with a UTF-8 byte-order mark, which
+        used to become part of the first column's name."""
+        header, rows = _panel_rows(panel)
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        _write_rows(plain, header, rows)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert _estimate_panel(marked, tmp_path) == _estimate_panel(plain, tmp_path)
+        path, x_cols, z_cols, _ = iv_csv
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        results = []
+        for data in (path, marked):
+            out = tmp_path / "out.json"
+            assert main(["estimate", "iv", "--data", str(data), "--y", "y", "--x", x_cols,
+                         "--z", z_cols, "--json", str(out)]) == 0
+            results.append(_run_free(out))
+        assert results[0] == results[1]
 
     def test_quoted_id_with_a_comma(self, panel, tmp_path):
         header, rows = _panel_rows(panel)

@@ -262,9 +262,16 @@ _ENTROPY_WORDS = st.one_of(st.just(0), st.integers(1, 2**32 - 1),
                            st.integers(2**32, 2**64 - 1), st.integers(2**64, 2**130))
 
 
+# Both routes of _stream_keys: the hash for more than 12 counters below 2**32,
+# SeedSequence for 12 or fewer, or for any counter from 2**32 on.
+_BELOW_2_32 = st.integers(0, 2**32 - 1)
+_COUNTERS = st.one_of(
+    st.lists(_BELOW_2_32, min_size=13, max_size=40),
+    st.lists(st.one_of(_BELOW_2_32, st.integers(2**32, 2**63 - 1)), min_size=1, max_size=40))
+
+
 @_PROPERTY
-@given(_ENTROPY_WORDS, st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
-       _ENTROPY_WORDS)
+@given(_ENTROPY_WORDS, _COUNTERS, _ENTROPY_WORDS)
 def test_property_stream_keys_match_seed_sequence(lead, counters, tail):
     keys = _stream_keys(lead, np.array(counters), tail)
     expected = np.array([np.random.SeedSequence((lead, c, tail)).generate_state(2, np.uint64)
@@ -322,5 +329,6 @@ class TestDrawsFromRawWords:
 
     def test_one_unit_and_no_units(self):
         assert np.array_equal(bootstrap_draws(3, 5, 1), np.zeros((5, 1), dtype=np.int64))
+        assert bootstrap_draws(3, 0, 7).shape == (0, 7)          # no resamples
         with pytest.raises(ValueError, match="n must be at least 1"):
             bootstrap_draws(3, 5, 0)

@@ -82,6 +82,13 @@ class TestBuildIvSystem:
             build_iv_system(rng.standard_normal(10), rng.standard_normal((10, 3)),
                             rng.standard_normal((10, 2)))
 
+    @pytest.mark.parametrize("n", [0, 2, 3])
+    def test_too_few_observations_rejected_before_the_gram_matrix(self, rng, n):
+        """n <= q is a size error; the Gram matrix check used to call it rank deficient."""
+        with pytest.raises(ValueError, match=rf"need n > q .*, got n={n}, q=3$"):
+            build_iv_system(rng.standard_normal(n), rng.standard_normal((n, 1)),
+                            rng.standard_normal((n, 3)))
+
     def test_rank_deficient_instruments_rejected(self, rng):
         Z1 = rng.standard_normal((20, 1))
         Z = np.column_stack([Z1, 2.0 * Z1])

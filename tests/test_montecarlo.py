@@ -396,11 +396,13 @@ def _per_system_stack(cfg, reps):
 
 
 class TestStackedDraws:
-    """A panel chunk is drawn and built as (R, ...) arrays, bit for bit the
-    rows of its replications' one-system draws."""
+    """A study chunk draws from its chunk-wide streams, a panel chunk as
+    (R, ...) arrays, bit for bit the rows of its replications' one-system
+    draws."""
 
     @pytest.mark.parametrize("design", [PanelRandomCoef(N=40, T=5, alpha0=0.5),
-                                        PanelLagMiss(N=30, T=4, alpha0=0.3)])
+                                        PanelLagMiss(N=30, T=4, alpha0=0.3),
+                                        IvLocal(n=40, alpha0=0.5)])
     @pytest.mark.parametrize("seed, lo, hi", [(3, 0, 64), (3, 64, 70), (2**70 + 3, 5, 12),
                                               (7, 2**32 - 3, 2**32 + 3)])
     @pytest.mark.parametrize("block", [montecarlo.DRAW_BLOCK, 1, 5000])
