@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import IllConditionedCorrectionError, SingularNormalMatrixError, SingularWeightError
 from .linmoment import (COND_LIMIT, LinearMomentSystem, WeightFactors, WeightSpec, _moments,
-                        _obs_mean, _omega, _omega_derivatives, _preliminary_weight, _sym)
+                        _obs_mean, _omega, _omega_derivatives, _preliminary_weight, _rows, _sym)
 
 if TYPE_CHECKING:
     from .estimate import FitPlan
@@ -351,20 +351,22 @@ class _Live(NamedTuple):
 class BatchGmm:
     """A stack of R linear moment systems sharing shapes (n, q, k).
 
-    Data-average weight contributions are held as factors ``Z_obs``
-    (R, n, e, q) with a shared core ``H``, the one form systems store.
+    Data-average weight contributions are held as ``factors`` (values
+    (R, n, p), one index map and core ``H``), the form systems store;
+    ``Z_obs`` (R, n, e, q) is built from them on every access.
     """
 
-    def __init__(self, h: np.ndarray, G: np.ndarray, Z_obs: Optional[np.ndarray] = None,
-                 H: Optional[np.ndarray] = None):
+    def __init__(self, h: np.ndarray, G: np.ndarray, factors: Optional[WeightFactors] = None):
         self.h = h
         self.G = G
-        self.Z_obs = Z_obs
-        self.H = H
+        self.factors = factors
         self.R, self.n, self.q = h.shape
         self.k = G.shape[-1]
         self._first_stages = {}
         self._one_steps = {}
+
+    Z_obs = LinearMomentSystem.Z_obs
+    H = LinearMomentSystem.H
 
     @cached_property
     def h_n(self) -> np.ndarray:
@@ -376,10 +378,11 @@ class BatchGmm:
 
     @classmethod
     def from_system(cls, sys: LinearMomentSystem, idx: np.ndarray) -> "BatchGmm":
-        """Resampled copies of one system; ``idx`` is (R, n) row indices.
+        """Resampled copies of one system's stored rows; ``idx`` is (R, n) row indices.
         ``np.take`` along axis 0 makes the same copy as ``a[idx]``, faster."""
-        Z_obs = None if sys.Z_obs is None else np.take(sys.Z_obs, idx, axis=0)
-        return cls(np.take(sys.h, idx, axis=0), np.take(sys.G_obs, idx, axis=0), Z_obs, sys.H)
+        f = sys.factors
+        f = None if f is None else f._replace(values=np.take(f.values, idx, axis=0))
+        return cls(np.take(sys.h, idx, axis=0), np.take(sys.G_obs, idx, axis=0), f)
 
     @classmethod
     def from_stack(cls, systems) -> "BatchGmm":
@@ -389,31 +392,35 @@ class BatchGmm:
         The sequence is read once, item by item in order, and each system is
         copied into (R, ...) arrays allocated from the first one and
         ``len(systems)``: a lazy sequence that draws its items when read
-        holds one system at a time beside the stack.
+        holds one system at a time beside the stack. The stack keeps the
+        stored values under the first system's index map; from the first
+        system whose map differs on, it holds every row's ``Z_obs`` in full.
         """
         R = len(systems)
         if R == 0:
             raise ValueError("cannot stack an empty sequence of systems")
         first = systems[0]
         h, G = np.empty((R, *first.h.shape)), np.empty((R, *first.G_obs.shape))
-        Z = None if first.Z_obs is None else np.empty((R, *first.Z_obs.shape))
+        f = first.factors
+        values, idx = (None, None) if f is None else (np.empty((R, *f.values.shape)), f.idx)
         for r in range(R):
             s = systems[r] if r else first
             if s.G_obs.shape != G.shape[1:]:
                 raise ValueError("stacked systems must share their shapes (n, q, k)")
-            if (s.Z_obs is None) != (Z is None) or (
-                    Z is not None and not np.array_equal(s.H, first.H)):
+            if (s.factors is None) != (f is None) or (
+                    f is not None and not np.array_equal(s.H, f.H)):
                 raise ValueError("stacked systems must all have weight factors with the same core H")
             h[r], G[r] = s.h, s.G_obs
-            if Z is not None:
-                Z[r] = s.Z_obs
-        return cls(h, G, Z, None if Z is None else first.H)
+            if f is not None:
+                if idx is not None and not np.array_equal(s.factors.idx, idx):
+                    values, idx = WeightFactors(values, f.H, idx).Z, None
+                values[r] = s.Z_obs if idx is None else s.factors.values
+        return cls(h, G, None if f is None else WeightFactors(values, f.H, idx))
 
     def system(self, r: int) -> LinearMomentSystem:
         """Replication ``r`` as a :class:`LinearMomentSystem` whose arrays are
         views of its stack rows."""
-        Z = None if self.Z_obs is None else self.Z_obs[r]
-        return LinearMomentSystem(self.h[r], self.G[r], Z_obs=Z, H=self.H)
+        return LinearMomentSystem._of(self.h[r], self.G[r], _rows(self.factors, r))
 
     def g_obs(self, theta: np.ndarray) -> np.ndarray:
         """Per-observation moments for per-replication parameters (R, k)."""
@@ -429,7 +436,7 @@ class BatchGmm:
         key = _spec_key(spec)
         if key not in self._first_stages:
             status = Status(self.R)
-            w0, w0_obs = _preliminary_weight(spec, self.h, self.G, self.Z_obs, self.H)
+            w0, w0_obs = _preliminary_weight(spec, self.h, self.G, self.factors)
             s1 = self.solve(w0, status)
             stage = _FirstStage(w0, w0_obs, s1, status, self.g_obs(s1.theta))
             _read_only(w0, *s1, status.reason, status.cond, stage.g)

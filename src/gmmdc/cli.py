@@ -41,6 +41,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        target = os.path.dirname(args.json or "") or "."
+        if not os.path.isdir(target):       # before any work, not after it
+            raise DataError(f"--json: directory {target!r} does not exist")
         if args.command == "estimate":
             result = cmd_estimate(args)
             _print_estimate_table(result)

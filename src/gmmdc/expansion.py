@@ -96,7 +96,7 @@ class _Deviations:
         self.g_tilde = rn * stats.g_n - truth.delta
         self.G_tilde = rn * (stats.G_n - truth.G)
         self.W_tilde = np.zeros_like(truth.W)
-        if sample.Z_obs is not None:        # the system has per-observation weight contributions
+        if sample.factors is not None:      # the system has per-observation weight contributions
             self.W_tilde = rn * (sample.weight_matrix(WeightSpec.data_average()) - truth.W)
         self.Omega_tilde = rn * (stats.Omega - truth.Omega)
 

@@ -37,8 +37,8 @@ Z_975 = float(special.ndtri(0.975))
 #: B, and far fewer resamples settle a percentile-t critical value.
 MAX_BOOTSTRAP_B = 10**5
 
-#: The largest resample stack a bootstrap allocates (1 GiB): B n (q + q k + e q)
-#: float64 entries of h, G and the weight factors Z_obs (e rows each).
+#: The largest resample stack a bootstrap allocates (1 GiB): B copies of the
+#: system's stored h, G and weight-factor values (:func:`_resample_bytes`).
 MAX_RESAMPLE_BYTES = 2**30
 
 
@@ -329,6 +329,13 @@ def _unwrap(result):
     return result
 
 
+def _resample_bytes(sys: LinearMomentSystem, B: int) -> int:
+    """The bytes of ``B`` resamples of the arrays ``sys`` stores: the stack
+    :meth:`BatchGmm.from_system` gathers."""
+    stored = [sys.h, sys.G_obs] + ([] if sys.factors is None else [sys.factors.values])
+    return B * sum(a.nbytes for a in stored)
+
+
 def _percentile_t(sys: LinearMomentSystem, B: int, seed: int, plans, coefs, nulls, bases=None,
                   name: str = "B"):
     """The bootstrap of each plan in ``plans`` and coefficient in ``coefs``
@@ -343,8 +350,7 @@ def _percentile_t(sys: LinearMomentSystem, B: int, seed: int, plans, coefs, null
     """
     _check_seed(seed)
     _check_B(B, name)
-    e = 0 if sys.Z_obs is None else sys.Z_obs.shape[1]
-    size = 8 * B * sys.n * sys.q * (1 + sys.k + e)
+    size = _resample_bytes(sys, B)
     if size > MAX_RESAMPLE_BYTES:
         raise ValueError(f"{name} = {B} resamples of {sys.n} units need a {size / 2**30:.1f} GiB "
                          f"resample stack, more than the {MAX_RESAMPLE_BYTES / 2**30:g} GiB bound")

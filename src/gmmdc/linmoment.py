@@ -13,6 +13,7 @@ formula downstream uses N).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Optional
@@ -87,42 +88,78 @@ class WeightFactors(NamedTuple):
     ``H`` is the symmetric (e, e) core shared by every observation. Every
     contribution Xi_i of the package takes this form: data-average weights
     store it, and efficient weights' g_i g_i' are :meth:`rank_one`.
+
+    ``Z`` is held as ``values`` (..., n, p) and an (e, q) index map ``idx``
+    shared by every observation, Z_i = values_i[idx]: a difference-GMM unit's
+    values are a zero slot and its T - 1 instruments. ``idx`` None is the
+    identity map, ``values`` Z itself. A mapped ``Z`` is built on access, in
+    blocks of replications by :meth:`mean` and :meth:`times`.
     """
 
-    Z: np.ndarray
+    values: np.ndarray
     H: np.ndarray
+    idx: Optional[np.ndarray] = None
 
     @staticmethod
     def rank_one(f: np.ndarray) -> "WeightFactors":
         """Rank-one contributions f_i f_i' of rows f, shape (..., n, q): e = 1, H = [[1]]."""
         return WeightFactors(f[..., None, :], np.ones((1, 1)))
 
+    @property
+    def shape(self) -> tuple:
+        """The shape (..., n, e, q) of ``Z``."""
+        return self.values.shape if self.idx is None else self.values.shape[:-1] + self.idx.shape
+
+    @property
+    def Z(self) -> np.ndarray:
+        """The factors Z (..., n, e, q); a mapped Z is a C-contiguous gather."""
+        if self.idx is None:
+            return self.values
+        flat = self.values.reshape(-1, self.values.shape[-1])
+        return np.take(flat, self.idx.ravel(), axis=1).reshape(self.shape)
+
+    def _blocks(self):
+        """Slices of replications of at most :data:`MEAN_BLOCK` entries of Z
+        (one replication at least), each with its factors Z (B, n, e, q)."""
+        *lead, n, e, q = self.shape
+        values = self.values.reshape(-1, *self.values.shape[len(lead):])
+        step = max(1, MEAN_BLOCK // (n * e * q))
+        for lo in range(0, len(values), step):
+            block = values[lo:lo + step]
+            yield slice(lo, lo + step), self._replace(values=block).Z
+
     def mean(self) -> np.ndarray:
         """The mean of W(X_i) over observations, shape (..., q, q), bit for
         bit one product Z' (H Z) over the whole stack.
 
-        H Z_i is formed for blocks of replications of at most
-        :data:`MEAN_BLOCK` = 2**16 entries (one replication at least), so no
-        second copy of the factors is held. With one BLAS thread that bound
-        took 5.9 instead of 8.1 ms on a panel-rc chunk (64, 200, 6, 21) and
-        74 instead of 140 ms on a panel bootstrap stack (499, 500, 5, 15),
-        where 2**17 and 2**18 were slower, and the same time on IV stacks.
+        H Z_i is formed for each block of :meth:`_blocks`, so no second copy
+        of the factors is held. With one BLAS thread the 2**16 bound took 5.9
+        instead of 8.1 ms on a panel-rc chunk (64, 200, 6, 21) and 74 instead
+        of 140 ms on a panel bootstrap stack (499, 500, 5, 15), where 2**17
+        and 2**18 were slower, and the same time on IV stacks.
         """
-        *lead, n, e, q = self.Z.shape
-        Zf = self.Z.reshape(-1, n * e, q)
-        out = np.empty((len(Zf), q, q))
-        step = max(1, MEAN_BLOCK // (n * e * q))
-        for lo in range(0, len(Zf), step):
-            block = Zf[lo:lo + step]
-            HZ = (self.H @ block.reshape(-1, n, e, q)).reshape(block.shape)
-            out[lo:lo + step] = np.swapaxes(block, -1, -2) @ HZ
+        *lead, n, e, q = self.shape
+        out = np.empty((int(np.prod(lead)), q, q))
+        for rows, Z in self._blocks():
+            Zf = Z.reshape(-1, n * e, q)
+            out[rows] = np.swapaxes(Zf, -1, -2) @ (self.H @ Z).reshape(Zf.shape)
         return _sym(out.reshape(*lead, q, q) / n)
 
     def times(self, b: np.ndarray) -> np.ndarray:
-        """W(X_i) b = Z_i' H (Z_i b) for every observation, shape (..., n, q)."""
-        *lead, n, e, q = self.Z.shape
-        Zb = (self.Z.reshape(*lead, n * e, q) @ b[..., None]).reshape(*lead, n, e)
-        return np.einsum("...neq,...ne->...nq", self.Z, Zb @ self.H.T)
+        """W(X_i) b = Z_i' H (Z_i b) for every observation, shape (..., n, q),
+        for each block of :meth:`_blocks`."""
+        *lead, n, e, q = self.shape
+        out = np.empty((*lead, n, q))
+        b, flat = b.reshape(-1, q, 1), out.reshape(-1, n, q)
+        for rows, Z in self._blocks():
+            Zb = (Z.reshape(-1, n * e, q) @ b[rows]).reshape(-1, n, e)
+            np.einsum("rneq,rne->rnq", Z, Zb @ self.H.T, out=flat[rows])
+        return out
+
+
+def _rows(f: Optional[WeightFactors], key) -> Optional[WeightFactors]:
+    """The factors of the replications ``values[key]`` of ``f``, or None."""
+    return None if f is None else f._replace(values=f.values[key])
 
 
 def full_factors(W: np.ndarray) -> WeightFactors:
@@ -193,17 +230,16 @@ def _omega_derivatives(g: np.ndarray, G: np.ndarray, centered: bool) -> np.ndarr
 
 
 def _preliminary_weight(spec: WeightSpec, h: np.ndarray, G: np.ndarray,
-                        Z_obs: Optional[np.ndarray], H: Optional[np.ndarray]):
+                        factors: Optional[WeightFactors]):
     """The weight (R, q, q) of ``spec`` and its per-observation contributions
-    (see :meth:`LinearMomentSystem.weight_obs`), from factors Z_obs (R, n, e, q)."""
+    (see :meth:`LinearMomentSystem.weight_obs`), from the stored ``factors``."""
     R, _, q = h.shape
     if spec.kind is WeightKind.IDENTITY:
         return np.broadcast_to(np.eye(q), (R, q, q)), None
     if spec.kind is WeightKind.DATA_AVERAGE:
-        if Z_obs is None:
+        if factors is None:
             raise ValueError("system has no per-observation weight contributions")
-        w = WeightFactors(Z_obs, H)
-        return w.mean(), w
+        return factors.mean(), factors
     theta = _check_theta(spec.theta, G.shape[-1])
     g = _moments(h, G, np.broadcast_to(theta, (R, theta.size)))
     if spec.kind is WeightKind.EFFICIENT_CENTERED:
@@ -211,9 +247,10 @@ def _preliminary_weight(spec: WeightSpec, h: np.ndarray, G: np.ndarray,
     return _omega(g), WeightFactors.rank_one(g)
 
 
-def _check_arrays(h, G_obs, Z_obs, H) -> None:
+def _check_arrays(h, G_obs, factors: Optional[WeightFactors]) -> None:
     """The checks a :class:`LinearMomentSystem` makes of its arrays, also on
     stacks of them: sizes (n, q, k), finite entries and a symmetric ``H``."""
+    Z_obs, H = (None, None) if factors is None else factors[:2]
     n, q, k = G_obs.shape[-3:]
     if not (q >= k >= 1):
         raise ValueError(f"need q >= k >= 1, got q={q}, k={k}")
@@ -248,9 +285,11 @@ class LinearMomentSystem:
     W_obs : ndarray, shape (n, q, q), optional
         The contributions in full, as an alternative to ``Z_obs`` and ``H``.
         A supplied tensor must have symmetric slices; it is stored as its
-        exact factors (:func:`full_factors`, e = 2q). Reading ``W_obs``
-        builds Z_i' H Z_i on demand on every access; :meth:`weight_matrix`
-        and :meth:`weight_obs` never materialize it.
+        exact factors (:func:`full_factors`, e = 2q).
+    factors : WeightFactors or None
+        The stored form: supplied ``Z_obs`` as given, a difference-GMM block
+        as its unit's values and a shared index map. ``Z_obs`` and ``W_obs``
+        are built from it on every access, never by :meth:`weight_matrix`.
 
     Clustered data enter as one row per cluster: sum each cluster's moment
     rows into one block before building the system, as the panel builder
@@ -267,6 +306,7 @@ class LinearMomentSystem:
             raise ValueError("G_obs must be an (n, q, k) array matching h")
         if (Z_obs is None) != (H is None):
             raise ValueError("Z_obs and H must be given together")
+        factors = None
         if W_obs is not None:
             if Z_obs is not None:
                 raise ValueError("give W_obs or its factors Z_obs and H, not both")
@@ -277,7 +317,7 @@ class LinearMomentSystem:
                 raise ValueError("W_obs has missing or non-finite entries")
             if not np.allclose(W_obs, np.swapaxes(W_obs, 1, 2), rtol=1e-10, atol=1e-12):
                 raise ValueError("every W(X_i) must be symmetric")
-            Z_obs, H = full_factors(W_obs)
+            factors = full_factors(W_obs)
         elif Z_obs is not None:
             Z_obs = np.asarray(Z_obs, dtype=float)
             H = np.asarray(H, dtype=float)
@@ -285,18 +325,36 @@ class LinearMomentSystem:
                 raise ValueError("Z_obs must be an (n, e, q) array")
             if H.shape != (Z_obs.shape[1],) * 2:
                 raise ValueError("H must be an (e, e) array matching Z_obs")
-        _check_arrays(h, G, Z_obs, H)
-        vars(self).update(h=h, G_obs=G, Z_obs=Z_obs, H=H)
+            factors = WeightFactors(Z_obs, H)
+        _check_arrays(h, G, factors)
+        vars(self).update(h=h, G_obs=G, factors=factors)
+
+    @classmethod
+    def _of(cls, h, G_obs, factors: Optional[WeightFactors]) -> "LinearMomentSystem":
+        """The system of arrays h (n, q), G_obs (n, q, k) and ``factors``
+        whose shapes match, kept as they are, after the constructor's checks."""
+        _check_arrays(h, G_obs, factors)
+        sys = object.__new__(cls)
+        vars(sys).update(h=h, G_obs=G_obs, factors=factors)
+        return sys
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
+    def Z_obs(self) -> Optional[np.ndarray]:
+        """The weight factors Z_i, shape (n, e, q), or None."""
+        return None if self.factors is None else self.factors.Z
+
+    @property
+    def H(self) -> Optional[np.ndarray]:
+        return None if self.factors is None else self.factors.H
+
+    @property
     def W_obs(self) -> Optional[np.ndarray]:
         """Per-observation weight contributions in full, shape (n, q, q), or None."""
-        if self.Z_obs is None:
-            return None
-        return np.swapaxes(self.Z_obs, 1, 2) @ (self.H @ self.Z_obs)
+        Z = self.Z_obs
+        return None if Z is None else np.swapaxes(Z, 1, 2) @ (self.H @ Z)
 
     @property
     def n(self) -> int:
@@ -316,8 +374,7 @@ class LinearMomentSystem:
         return _moments(self.h[None], self.G_obs[None], theta[None])[0]
 
     def _weight(self, spec: WeightSpec):
-        Z_obs = None if self.Z_obs is None else self.Z_obs[None]
-        return _preliminary_weight(spec, self.h[None], self.G_obs[None], Z_obs, self.H)
+        return _preliminary_weight(spec, self.h[None], self.G_obs[None], _rows(self.factors, None))
 
     def weight_matrix(self, spec: WeightSpec) -> np.ndarray:
         """Materialize a weight specification as a q x q matrix (the efficient
@@ -332,8 +389,7 @@ class LinearMomentSystem:
         ``Z_obs`` and ``H`` for the data-average weight, the rank-one factors
         of g_i (centered for the centered kind) for the efficient kinds.
         """
-        w = self._weight(spec)[1]
-        return None if w is None else WeightFactors(w.Z[0], w.H)
+        return _rows(self._weight(spec)[1], 0)
 
 
 @dataclass(frozen=True)
@@ -462,23 +518,36 @@ def build_ab_system(panel: PanelDataset, mode: str = "predetermined") -> LinearM
     Each individual contributes one moment block Z_i' dy_i, so the returned
     system has n = N rows and the individual is the unit of standard errors
     and of bootstrap resampling. The weight
-    contributions Z_i' H Z_i are stored as their factors: ``Z_obs`` holds the
-    (T-1) x q instrument blocks Z_i (T-2 rows in ``"ar1"`` mode) and ``H`` is
-    the usual 2/-1 band matrix.
+    contributions Z_i' H Z_i are stored as their factors: Z_i is the
+    (T-1) x q instrument block (T-2 rows in ``"ar1"`` mode), held as the
+    unit's instrument values and a shared index map (:class:`WeightFactors`),
+    and ``H`` is the usual 2/-1 band matrix.
 
     Raises
     ------
     ValueError
         If T < 3 or the panel is unbalanced.
     """
-    h, G, Z, H = _build_diff_gmm(panel.y, panel.x, mode)
-    return LinearMomentSystem(h=h, G_obs=G, Z_obs=Z, H=H)
+    return LinearMomentSystem._of(*_build_diff_gmm(panel.y, panel.x, mode))
+
+
+@functools.cache
+def _diff_gmm_map(e: int) -> np.ndarray:
+    """The shared (e, q) map of a difference-GMM block into its unit's values
+    [0, x_1, ..., x_e]: x_{j+1} in row t of column c, (t, j) = tril_indices at c."""
+    t, j = np.tril_indices(e)
+    idx = np.zeros((e, t.size), dtype=np.intp)
+    idx[t, np.arange(t.size)] = j + 1
+    idx.flags.writeable = False
+    return idx
 
 
 def _build_diff_gmm(y: np.ndarray, x: Optional[np.ndarray], mode: str):
-    """h, G_obs, Z_obs and H of the difference-GMM systems of panels y and x
-    (..., N, T) with any leading replication axes (see :func:`build_ab_system`);
-    the arrays are C-contiguous and unchecked."""
+    """h, G_obs and the :class:`WeightFactors` of the difference-GMM systems
+    of panels y and x (..., N, T) with any leading replication axes (see
+    :func:`build_ab_system`); the arrays are C-contiguous and unchecked.
+    Each column of Z_i has one nonzero row, so column c of h_i = Z_i' dy_i
+    is one product: bit for bit the sum over the zero-padded block."""
     if mode not in ("predetermined", "ar1"):
         raise ValueError(f"unknown mode {mode!r}")
     if y.shape[-1] < 3:
@@ -491,20 +560,13 @@ def _build_diff_gmm(y: np.ndarray, x: Optional[np.ndarray], mode: str):
         raise ValueError("predetermined mode requires a regressor column")
     *lead, N, T = y.shape
     e = T - 1                      # differenced equations t = 2..T
-    q = T * (T - 1) // 2
-
-    # Zmat[..., i, :, :] is the (T-1) x q instrument matrix diag(z_i2', ..., z_iT').
-    Zmat = np.zeros((*lead, N, e, q))
-    off = 0
-    for t in range(2, T + 1):
-        width = t - 1
-        Zmat[..., t - 2, off:off + width] = x[..., :width]
-        off += width
-
-    h = np.einsum("...net,...ne->...nt", Zmat, np.diff(y, axis=-1))
-    G_obs = np.einsum("...net,...ne->...nt", Zmat, np.diff(x, axis=-1))[..., None]
-    np.negative(G_obs, out=G_obs)
-    return h, G_obs, Zmat, differencing_weight(e)
+    t, j = np.tril_indices(e)      # column c: equation t[c] + 2, instrument x_{j[c]+1}
+    xs = np.take(x, j, axis=-1)    # np.take, unlike x[..., j], is C-contiguous
+    # + 0.0: a zero product, summed with the block's zeros, was +0.0
+    h = xs * np.take(np.diff(y, axis=-1), t, axis=-1) + 0.0
+    G_obs = np.negative(xs * np.take(np.diff(x, axis=-1), t, axis=-1) + 0.0)[..., None]
+    values = np.concatenate([np.zeros((*lead, N, 1)), x[..., :e]], axis=-1)
+    return h, G_obs, WeightFactors(values, differencing_weight(e), _diff_gmm_map(e))
 
 
 def moment_stats(sys: LinearMomentSystem, theta: np.ndarray) -> MomentStats:

@@ -350,9 +350,9 @@ def _draw_stack(cfg: StudyConfig, reps: range) -> BatchGmm:
     del panels
     # the cells' check of the one-system path, on all panels as one
     PanelDataset(y.reshape(-1, y.shape[-1]), None if x is None else x.reshape(-1, x.shape[-1]))
-    h, G, Z, H = _build_diff_gmm(y, x, mode)
-    _check_arrays(h, G, Z, H)
-    return BatchGmm(h, G, Z, H)
+    h, G, factors = _build_diff_gmm(y, x, mode)
+    _check_arrays(h, G, factors)
+    return BatchGmm(h, G, factors)
 
 
 def _chunk_records(cfg: StudyConfig, lo: int, hi: int) -> Dict[str, Dict[str, np.ndarray]]:

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._batch import BatchGmm
 from .estimate import GmmFit, _fit_state
-from .linmoment import LinearMomentSystem, WeightFactors, full_factors
+from .linmoment import LinearMomentSystem, WeightFactors, _rows, full_factors
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ def _lift(weight_obs) -> Optional[WeightFactors]:
     if weight_obs is None:
         return None
     if isinstance(weight_obs, WeightFactors):
-        return WeightFactors(weight_obs.Z[None], weight_obs.H)
+        return _rows(weight_obs, None)
     w = np.asarray(weight_obs, dtype=float)[None]
     if w.ndim == 3:
         return WeightFactors.rank_one(w)

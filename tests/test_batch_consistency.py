@@ -313,10 +313,12 @@ class TestStackFromSequence:
         for r, sysm in enumerate(systems):
             row = batch.system(r)
             for got, want, stacked in ((row.h, sysm.h, batch.h), (row.G_obs, sysm.G_obs, batch.G),
-                                       (row.Z_obs, sysm.Z_obs, batch.Z_obs)):
+                                       (row.factors.values, sysm.factors.values,
+                                        batch.factors.values)):
                 assert np.array_equal(_bits(got), _bits(want))
                 assert np.shares_memory(got, stacked[r])
-            assert row.H is batch.H
+            assert np.array_equal(_bits(row.Z_obs), _bits(sysm.Z_obs))
+            assert row.H is batch.H and row.factors.idx is batch.factors.idx
 
 
 def test_nonconvergence_is_a_nonfatal_reason():

@@ -319,6 +319,25 @@ class TestFlagsCheckedFirst:
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
 
+    def test_missing_json_directory_exits_2_before_any_work(self, iv_csv, tmp_path, capsys,
+                                                           monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the --json destination was not checked first")
+
+        monkeypatch.setattr(cli, "fit", refuse)
+        monkeypatch.setattr(cli, "run_study", refuse)
+        path, x_cols, z_cols, _ = iv_csv
+        target = tmp_path / "missing" / "out.json"
+        commands = [["estimate", "iv", "--data", str(path), "--y", "y", "--x", x_cols,
+                     "--z", z_cols, "--bootstrap", "99"],
+                    ["simulate", "--design", "iv", "--n", "60", "--reps", "2", "--threads", "1"]]
+        for command in commands:
+            assert main([*command, "--json", str(target)]) == 2
+            captured = capsys.readouterr()
+            assert f"--json: directory {str(target.parent)!r} does not exist" in captured.err
+            assert captured.out == ""
+        assert not target.parent.exists()
+
     def test_panel_null_count_is_one(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_read_csv", lambda path: pytest.fail("read"))
         assert main(["estimate", "panel", "--data", "p.csv", "--id", "id", "--time", "t",
@@ -346,8 +365,9 @@ class TestFlagsCheckedFirst:
 
 
 class TestBootstrapStackBound:
-    """A bootstrap whose resample stack, B n (q + q k + e q) float64 entries,
-    would pass ``inference.MAX_RESAMPLE_BYTES`` stops before any draw."""
+    """A bootstrap whose resample stack, B copies of the system's stored h, G
+    and weight-factor values, would pass ``inference.MAX_RESAMPLE_BYTES``
+    stops before any draw."""
 
     @pytest.fixture
     def refuse_draws(self, monkeypatch):
@@ -377,7 +397,7 @@ class TestBootstrapStackBound:
             montecarlo.run_study(cfg)
 
     def test_a_499_resample_panel_bootstrap_is_within_the_bound(self, monkeypatch):
-        """The largest bootstrap the tests and the benchmark run: 210 MB."""
+        """The largest bootstrap the tests and the benchmark run: 72 MB."""
         class Reached(Exception):
             pass
 

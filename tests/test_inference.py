@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -14,6 +16,7 @@ from gmmdc import (
     build_iv_system,
     critical_value,
     dgp_iv,
+    dgp_panel_lag,
     dgp_panel_rc,
     fit,
     j_test,
@@ -332,3 +335,42 @@ class TestDrawsFromRawWords:
         assert bootstrap_draws(3, 0, 7).shape == (0, 7)          # no resamples
         with pytest.raises(ValueError, match="n must be at least 1"):
             bootstrap_draws(3, 5, 0)
+
+
+def _stored_systems():
+    rng = np.random.default_rng(8)
+    W = rng.standard_normal((40, 3, 3))
+    return {
+        "iv": build_iv_system(*dgp_iv(50, 0.2, ReplicationStreams(8, 0))),
+        "predetermined": build_ab_system(dgp_panel_lag(40, 6, 0.2, ReplicationStreams(8, 1))),
+        "ar1": build_ab_system(dgp_panel_rc(40, 6, 0.2, ReplicationStreams(8, 2)), mode="ar1"),
+        "W_obs=": LinearMomentSystem(h=rng.standard_normal((40, 3)),
+                                     G_obs=rng.standard_normal((40, 3, 1)),
+                                     W_obs=W + np.swapaxes(W, 1, 2)),
+    }
+
+
+class TestResampleStack:
+    """A bootstrap's resample stack holds each resample's stored rows: h, G
+    and the weight-factor values, a panel unit's T values rather than its
+    (T-1) x q block."""
+
+    @pytest.mark.parametrize("label", ["iv", "predetermined", "ar1", "W_obs="])
+    def test_bound_counts_the_gathered_bytes(self, label):
+        sysm = _stored_systems()[label]
+        batch = BatchGmm.from_system(sysm, bootstrap_draws(1, 99, sysm.n))
+        stored = (batch.h, batch.G, batch.factors.values)
+        assert inference._resample_bytes(sysm, 99) == sum(a.nbytes for a in stored)
+
+    def test_a_panel_gather_allocates_its_compact_rows(self):
+        """499 resamples of an N=500, T=6 panel: 15 + 15 + 6 float64 per unit,
+        72 MB; with the dense 5 x 15 blocks it was 210 MB."""
+        sysm = build_ab_system(dgp_panel_lag(500, 6, 0.0, ReplicationStreams(3, 0)))
+        idx = bootstrap_draws(1, 499, 500)
+        tracemalloc.start()
+        try:
+            BatchGmm.from_system(sysm, idx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.01 * 499 * 500 * (15 + 15 + 6) * 8, peak

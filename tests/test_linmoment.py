@@ -26,8 +26,9 @@ from gmmdc import (
 )
 from gmmdc import _batch
 from gmmdc._batch import BatchGmm
-from gmmdc import linmoment
-from gmmdc.linmoment import WeightFactors, _obs_mean, full_factors
+from gmmdc import linmoment, montecarlo
+from gmmdc.inference import _Streams
+from gmmdc.linmoment import WeightFactors, _build_diff_gmm, _obs_mean, full_factors
 from conftest import random_system
 
 
@@ -510,3 +511,159 @@ class TestBlockedWeightMean:
         over narrow IV replications one at a time."""
         assert 64 * 200 * 6 * 21 > 8 * linmoment.MEAN_BLOCK
         assert linmoment.MEAN_BLOCK // (100 * 1 * 4) >= 100
+
+
+def _dense_diff_gmm(y, x, mode):
+    """h, G_obs and Z_obs of difference-GMM systems as the zero-padded
+    (T-1) x q instrument blocks gave them: the dense oracle of the compact build."""
+    if mode == "ar1":
+        y, x = y[..., 1:], y[..., :-1]
+    *lead, N, T = y.shape
+    Z = np.zeros((*lead, N, T - 1, T * (T - 1) // 2))
+    off = 0
+    for t in range(2, T + 1):
+        Z[..., t - 2, off:off + t - 1] = x[..., :t - 1]
+        off += t - 1
+    h = np.einsum("...net,...ne->...nt", Z, np.diff(y, axis=-1))
+    G = np.einsum("...net,...ne->...nt", Z, np.diff(x, axis=-1))[..., None]
+    np.negative(G, out=G)
+    return h, G, Z
+
+
+def _dense_times(Z, H, b):
+    """W(X_i) b of dense factors Z (..., n, e, q), as one product over the stack."""
+    *lead, n, e, q = Z.shape
+    Zb = (Z.reshape(*lead, n * e, q) @ b[..., None]).reshape(*lead, n, e)
+    return np.einsum("...neq,...ne->...nq", Z, Zb @ H.T)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+#: Leading axes of the compared forms: a stack, a one-replication stack and one system.
+_LEADS = {"stack": slice(None), "R = 1": slice(0, 1), "one system": 0}
+
+
+@functools.cache
+def _panel_draws():
+    """Stacked panel draws of both designs, panel-rc at the study chunk shape."""
+    y_rc, _ = montecarlo._panel_rc(200, 8, 0.0, _Streams.of(22, np.arange(64)))
+    y_lag, x_lag = montecarlo._panel_lag(100, 5, 0.3, _Streams.of(23, np.arange(16)))
+    return {"ar1": (y_rc, None), "predetermined": (y_lag, x_lag)}
+
+
+@functools.cache
+def _factor_cases():
+    """Label -> (stored factors, their dense oracle Z), for every form the
+    package stores, on stacks, at R = 1 and for one system."""
+    cases = {}
+    for mode, (y, x) in _panel_draws().items():
+        for lead, rows in _LEADS.items():
+            ys, xs = y[rows], None if x is None else x[rows]
+            cases[f"{mode}, {lead}"] = (_build_diff_gmm(ys, xs, mode)[2],
+                                        _dense_diff_gmm(ys, xs, mode)[2])
+    rng = np.random.default_rng(41)
+    draws = [dgp_iv(60, 0.3, ReplicationStreams(41, r)) for r in range(5)]
+    iv = [build_iv_system(*d) for d in draws]
+    iv_Z = np.stack([Z[:, None, :] for _, _, Z in draws])
+    W = rng.standard_normal((5, 30, 4, 4))
+    W = W + np.swapaxes(W, -1, -2)
+    supplied = [LinearMomentSystem(h=rng.standard_normal((30, 4)),
+                                   G_obs=rng.standard_normal((30, 4, 1)), W_obs=w) for w in W]
+    supplied_Z = np.concatenate([np.broadcast_to(np.eye(4), W.shape), W], axis=-2)
+    f = rng.standard_normal((5, 50, 6))
+    for lead, rows in _LEADS.items():
+        stack = [iv[rows]] if lead == "one system" else iv[rows]
+        cases[f"iv, {lead}"] = (iv[0].factors if lead == "one system"
+                                else BatchGmm.from_stack(stack).factors, iv_Z[rows])
+        cases[f"W_obs=, {lead}"] = (supplied[0].factors if lead == "one system"
+                                    else BatchGmm.from_stack(supplied[rows]).factors,
+                                    supplied_Z[rows])
+        cases[f"rank_one, {lead}"] = (WeightFactors.rank_one(f[rows]), f[rows][..., None, :])
+    return cases
+
+
+class TestCompactFactors:
+    """Difference-GMM factors are stored as each unit's instrument values and
+    one shared index map; every other form under the identity map. Z_obs,
+    the data-average weight and W(X_i) b are bit for bit those of the
+    zero-padded dense blocks, at any block size of ``WeightFactors``."""
+
+    @pytest.mark.parametrize("mode", ["ar1", "predetermined"])
+    @pytest.mark.parametrize("lead", list(_LEADS))
+    def test_build_equals_the_zero_padded_einsum(self, mode, lead):
+        y, x = _panel_draws()[mode]
+        ys, xs = y[_LEADS[lead]], None if x is None else x[_LEADS[lead]]
+        h, G, factors = _build_diff_gmm(ys, xs, mode)
+        want = _dense_diff_gmm(ys, xs, mode)
+        for got, dense in zip((h, G, factors.Z), want):
+            assert got.flags.c_contiguous and _same_bits(got, dense)
+        e = want[2].shape[-2]
+        assert factors.values.shape == (*ys.shape[:-1], e + 1)
+        assert factors.idx is linmoment._diff_gmm_map(e)
+        assert np.array_equal(factors.H, differencing_weight(e))
+
+    def test_a_zero_product_keeps_the_sign_of_the_sum(self):
+        """A zero cell gives the einsum's +0.0 in h and -0.0 in G, whatever the
+        sign of the difference it multiplies."""
+        y = np.array([[0.0, 1.0, -2.0, 0.5], [3.0, 0.0, 1.0, 1.0]] * 3)
+        x = np.array([[0.0, -1.0, 2.0, 1.0], [0.0, 0.0, -3.0, 2.0]] * 3)
+        for mode in ("ar1", "predetermined"):
+            for got, want in zip(_build_diff_gmm(y, x, mode)[:2], _dense_diff_gmm(y, x, mode)):
+                assert _same_bits(got, want)
+
+    @pytest.mark.parametrize("rows_per_block", [None, 1, 3])
+    def test_z_mean_and_times_equal_the_dense_forms(self, monkeypatch, rows_per_block):
+        rng = np.random.default_rng(5)
+        for label, (w, Z) in _factor_cases().items():
+            *lead, n, e, q = Z.shape
+            if rows_per_block is not None:
+                monkeypatch.setattr(linmoment, "MEAN_BLOCK", rows_per_block * n * e * q)
+            b = rng.standard_normal((*lead, q))
+            assert w.shape == Z.shape, label
+            assert _same_bits(w.Z, Z), label
+            assert _same_bits(w.mean(), _one_product_mean(Z, w.H)), label
+            assert _same_bits(w.times(b), _dense_times(Z, w.H, b)), label
+
+    def test_dense_factors_are_their_own_values(self):
+        """Identity-map factors are read without a copy."""
+        for label, (w, _) in _factor_cases().items():
+            if not label.startswith(("ar1", "predetermined")):
+                assert w.idx is None and w.Z is w.values, label
+
+    @pytest.mark.parametrize("label", ["iv", "predetermined", "ar1"])
+    def test_systems_and_stacks_read_the_dense_blocks(self, label):
+        if label == "iv":
+            y, X, Z = dgp_iv(80, 0.5, ReplicationStreams(61, 0))
+            sysm, want = build_iv_system(y, X, Z), Z[:, None, :]
+        else:
+            streams = ReplicationStreams(61, 1 if label == "predetermined" else 2)
+            panel = (dgp_panel_lag(40, 5, 0.3, streams) if label == "predetermined"
+                     else dgp_panel_rc(40, 6, 0.2, streams))
+            sysm = build_ab_system(panel, mode=label)
+            want = _dense_diff_gmm(panel.y, panel.x, label)[2]
+        idx = np.random.default_rng(3).integers(0, sysm.n, (7, sysm.n))
+        assert _same_bits(sysm.Z_obs, want)
+        assert _same_bits(BatchGmm.from_stack([sysm, sysm]).Z_obs, np.stack([want, want]))
+        gathered = BatchGmm.from_system(sysm, idx)
+        assert _same_bits(gathered.Z_obs, np.take(want, idx, axis=0))
+        assert gathered.factors.idx is sysm.factors.idx
+        assert _same_bits(gathered.system(2).Z_obs, want[idx[2]])
+
+    def test_stacks_of_different_maps_hold_every_row_in_full(self):
+        """``from_stack`` keeps the stored values while the systems' maps agree;
+        from the first that differs on, the stack holds Z_obs in full."""
+        compact = dict(_builder_systems())["ar1"]
+        dense = LinearMomentSystem(h=compact.h, G_obs=compact.G_obs, Z_obs=compact.Z_obs,
+                                   H=compact.H)
+        assert dense.factors.idx is None
+        for rows in ([compact, compact, dense], [dense, compact], [compact, dense, compact]):
+            batch = BatchGmm.from_stack(rows)
+            assert batch.factors.idx is None and batch.factors.values.shape == batch.Z_obs.shape
+            assert _same_bits(batch.Z_obs, np.stack([compact.Z_obs] * len(rows)))
+            assert _same_bits(batch.factors.mean(),
+                              BatchGmm.from_stack([compact] * len(rows)).factors.mean())
+        kept = BatchGmm.from_stack([compact, compact]).factors
+        assert kept.idx is compact.factors.idx
+        assert kept.values.shape == (2, *compact.factors.values.shape)
