@@ -15,8 +15,8 @@ share its first stage: the solve with each preliminary weight, and Omega_n
 and the one-step variance pieces at its estimate, are formed once per stack
 and kept read-only. Iterated updates form Omega_n(theta) from the second
 moments of [g_i(theta1), G_i] anchored at the one-step estimate theta1, not
-from a pass over the observations; Omega_n at the final estimate, and so
-the variance and J, still come from g_i.
+from a pass over the observations. A fit state holds g_i and g_n at its
+estimate, formed once, which the variance stage and J read.
 """
 
 from __future__ import annotations
@@ -136,20 +136,22 @@ class BatchFit:
     """Fitted estimates of a stack: the input of the variance stage.
 
     ``stage`` is the stack's shared first stage: the preliminary weight and
-    the solve with it, whose estimate is the one-step estimate. ``omega`` is
-    the second-moment weight at the J point, Omega_n at the one-step
-    estimate for one- and two-step fits and Omega_n(theta) for iterated
-    fits, ``g_w`` the moments g_i it is built from, and ``final`` the solve
-    with it (the two-step's second step; ``stage.solve`` for one-step fits).
-    ``iterates`` holds the estimate after every solve, so replication r's
-    chain is ``iterates[:iterations[r]]``. ``stage`` and, for one- and
-    two-step fits, ``g_w`` and ``omega`` are read-only.
+    the solve with it, whose estimate is the one-step estimate. ``g`` and
+    ``g_n`` are g_i and g_n at the estimate, formed once (``stage.g`` for
+    one-step fits). ``omega`` is the second-moment weight at the J point:
+    Omega_n at the one-step estimate for one- and two-step fits, and built
+    from ``g`` for iterated fits. ``final`` is the solve with it (the
+    two-step's second step; ``stage.solve`` for one-step fits). ``iterates``
+    holds the estimate after every solve, so replication r's chain is
+    ``iterates[:iterations[r]]``. ``stage`` and, unless iterated, ``omega``
+    are read-only.
     """
 
     plan: "FitPlan"
     theta: np.ndarray                        # (R, k)
     stage: "_FirstStage"
-    g_w: np.ndarray                          # (R, n, q): g_i where omega is evaluated
+    g: np.ndarray                            # (R, n, q): g_i(theta)
+    g_n: np.ndarray                          # (R, q): g_n(theta), J's moment
     omega: np.ndarray                        # (R, q, q)
     final: _Solve
     status: Status
@@ -387,14 +389,13 @@ class BatchGmm:
     @classmethod
     def from_stack(cls, systems) -> "BatchGmm":
         """The stack of the sequence ``systems``, whose weight factors (if any)
-        must share ``H``.
+        must share ``H`` and the index map.
 
         The sequence is read once, item by item in order, and each system is
         copied into (R, ...) arrays allocated from the first one and
         ``len(systems)``: a lazy sequence that draws its items when read
-        holds one system at a time beside the stack. The stack keeps the
-        stored values under the first system's index map; from the first
-        system whose map differs on, it holds every row's ``Z_obs`` in full.
+        holds one system at a time beside the stack, and the stack holds the
+        stored values under their shared map.
         """
         R = len(systems)
         if R == 0:
@@ -402,20 +403,20 @@ class BatchGmm:
         first = systems[0]
         h, G = np.empty((R, *first.h.shape)), np.empty((R, *first.G_obs.shape))
         f = first.factors
-        values, idx = (None, None) if f is None else (np.empty((R, *f.values.shape)), f.idx)
+        values = None if f is None else np.empty((R, *f.values.shape))
         for r in range(R):
             s = systems[r] if r else first
             if s.G_obs.shape != G.shape[1:]:
                 raise ValueError("stacked systems must share their shapes (n, q, k)")
-            if (s.factors is None) != (f is None) or (
-                    f is not None and not np.array_equal(s.H, f.H)):
-                raise ValueError("stacked systems must all have weight factors with the same core H")
+            if (s.factors is None) != (f is None) or f is not None and not (
+                    np.array_equal(s.H, f.H)
+                    and (s.factors.idx is f.idx or np.array_equal(s.factors.idx, f.idx))):
+                raise ValueError("stacked systems must all have weight factors with the same "
+                                 "core H and index map")
             h[r], G[r] = s.h, s.G_obs
             if f is not None:
-                if idx is not None and not np.array_equal(s.factors.idx, idx):
-                    values, idx = WeightFactors(values, f.H, idx).Z, None
-                values[r] = s.Z_obs if idx is None else s.factors.values
-        return cls(h, G, None if f is None else WeightFactors(values, f.H, idx))
+                values[r] = s.factors.values
+        return cls(h, G, None if f is None else WeightFactors(values, f.H, f.idx))
 
     def system(self, r: int) -> LinearMomentSystem:
         """Replication ``r`` as a :class:`LinearMomentSystem` whose arrays are
@@ -425,10 +426,6 @@ class BatchGmm:
     def g_obs(self, theta: np.ndarray) -> np.ndarray:
         """Per-observation moments for per-replication parameters (R, k)."""
         return _moments(self.h, self.G, theta)
-
-    def g_n(self, theta: np.ndarray) -> np.ndarray:
-        """g_n(theta) (R, q): the mean of g_i(theta), the moment J and the variance stage use."""
-        return _obs_mean(self.g_obs(theta))
 
     def _first_stage(self, spec: WeightSpec) -> _FirstStage:
         """The solve with preliminary weight ``spec``, formed once per stack
@@ -508,32 +505,31 @@ class BatchGmm:
         """
         stage = self._first_stage(plan.w0)
         status = stage.status.copy()
-        theta, iterates = stage.solve.theta, [stage.solve.theta]
+        theta, iterates = None, [stage.solve.theta]
         converged, iterations = np.ones(self.R, dtype=bool), np.ones(self.R, dtype=int)
         if plan.kind == "iterated":
             theta, converged = self._iterate(plan, stage, status, iterates, iterations)
             status.flag(~converged, Reason.NOT_CONVERGED)
         fit = self._state(plan, stage, status, theta, converged, iterations, iterates)
         if plan.kind == "two-step":
-            fit.theta = fit.final.theta
             iterates.append(fit.theta)
             iterations += 1
         return fit
 
-    def _state(self, plan: "FitPlan", stage: _FirstStage, status: Status, theta: np.ndarray,
-               *chain) -> BatchFit:
-        """The fit state at ``theta``: g_i and Omega_n at the J point (``theta``
-        if iterated, else the one-step estimate) and the solve with Omega_n,
-        flagged in ``status``; ``chain`` is a fit's convergence and iterates."""
-        if plan.kind == "iterated":
-            g_w = self.g_obs(theta)
-            omega = _omega(g_w, plan.centered)
-        else:
-            g_w, omega = stage.g, self._one_step(plan).omega
-        final = stage.solve
-        if plan.kind != "one-step":
-            final = self.solve(omega, status, Reason.EFFICIENT_WEIGHT_NOT_PD)
-        return BatchFit(plan, theta, stage, g_w, omega, final, status, *chain)
+    def _state(self, plan: "FitPlan", stage: _FirstStage, status: Status,
+               theta: Optional[np.ndarray], *chain) -> BatchFit:
+        """The fit state at ``theta`` (None: the one- or two-step solve's): g_i
+        and g_n there, Omega_n at the J point and the solve with it, flagged
+        in ``status``; ``chain`` is a fit's convergence and iterates."""
+        g = None if theta is None else self.g_obs(theta)
+        omega = _omega(g, plan.centered) if plan.kind == "iterated" else self._one_step(plan).omega
+        final = stage.solve if plan.kind == "one-step" else self.solve(
+            omega, status, Reason.EFFICIENT_WEIGHT_NOT_PD)
+        if theta is None:
+            theta = final.theta
+            g = stage.g if plan.kind == "one-step" else self.g_obs(theta)
+        g_n = self._one_step(plan).g_n if g is stage.g else _obs_mean(g)
+        return BatchFit(plan, theta, stage, g, g_n, omega, final, status, *chain)
 
     def _iterate(self, plan, stage: _FirstStage, status, iterates, iterations):
         """Iterated updates from the one-step estimate theta1.
@@ -586,11 +582,15 @@ class BatchGmm:
         return self._state(plan, stage, stage.status.copy(), theta)
 
     def chain(self, fit: BatchFit):
-        """The (estimate, weight) pair of every solve of a one-replication fit."""
+        """The (estimate, weight) pair of every solve of a one-replication fit:
+        ``w0``, the two-step's ``omega`` or each iterated update's Omega_n,
+        rebuilt from one :meth:`_live` GEMM."""
         thetas = [t[0] for t in fit.iterates[:fit.iterations[0]]]
-        weights = [np.array(fit.stage.w0[0])]
-        weights += [_omega(self.g_obs(t[None]), fit.plan.centered)[0] for t in thetas[:-1]]
-        return list(zip(thetas, weights))
+        weights = [fit.stage.w0, fit.omega]     # a one-step fit's one solve takes w0 only
+        if fit.plan.kind == "iterated":
+            live = self._live(fit.stage.solve.theta, fit.stage.g, fit.plan.centered)
+            weights[1:] = [live.omega(t[None]) for t in thetas[:-1]]
+        return [(t, np.array(w[0])) for t, w in zip(thetas, weights)]
 
     # ------------------------------------------------------------------
     # variance stage
@@ -606,21 +606,19 @@ class BatchGmm:
         bread. Failures are added to ``fit.status``.
         """
         plan, status, n, k = fit.plan, fit.status, self.n, self.k
-        theta, omega, s1, s = fit.theta, fit.omega, fit.stage.solve, fit.final
+        theta, g, omega, s1, s = fit.theta, fit.g, fit.omega, fit.stage.solve, fit.final
         D = np.zeros((self.R, k, k))
         V_w = C = None
-        g = self.g_obs(theta) if plan.kind == "two-step" else fit.g_w     # g_i(theta)
         finite = np.isfinite(g).all(axis=(1, 2)) & np.isfinite(omega).all(axis=(1, 2))
         status.flag(~finite, Reason.EFFICIENT_WEIGHT_NOT_PD, np.inf)
 
         if plan.kind != "iterated":
-            g1_n, _, V1_conv, m1, Sigma, V1_dc = self._one_step(plan)
+            _, _, V1_conv, m1, Sigma, V1_dc = self._one_step(plan)
             V_conv, V_dc = V1_conv, V1_dc
-        g_n = g1_n if plan.kind == "one-step" else _obs_mean(g)     # g_n(theta)
 
         if plan.kind != "one-step":
-            g_w = fit.g_w
-            u = _masked_solve(omega, g_n, status.ok)
+            g_w = g if plan.kind == "iterated" else fit.stage.g     # where omega is evaluated
+            u = _masked_solve(omega, fit.g_n, status.ok)
             D = self._d_hat(g_w, s.aG, u, s.M_inv, plan.centered)
             Dt = np.swapaxes(D, 1, 2)
             if plan.centered:
@@ -650,19 +648,17 @@ class BatchGmm:
             theta=theta, V_conv=V_conv, V_dc=V_dc, D_hat=D, Sigma_n=Sigma,
             se_conv=_se(V_conv, n), se_dc=_se(V_dc, n), status=status,
             V_w=V_w, se_w=_se(V_w, n), C_hat=C,
-            j_stat=self.j_stat(fit, g_n) if compute_j else None,
+            j_stat=self.j_stat(fit) if compute_j else None,
             converged=fit.converged, iterations=fit.iterations,
         )
 
-    def j_stat(self, fit: BatchFit, g_n: Optional[np.ndarray] = None) -> np.ndarray:
-        """J = n g_n(theta)' Omega^-1 g_n(theta) with Omega = ``fit.omega``;
-        rows whose Omega is not positive definite, or whose J is not finite,
-        are flagged. ``g_n`` passes g_n(theta) when the caller has it."""
+    def j_stat(self, fit: BatchFit) -> np.ndarray:
+        """J = n g_n(theta)' Omega^-1 g_n(theta) with g_n(theta) = ``fit.g_n``
+        and Omega = ``fit.omega``; rows whose Omega is not positive definite,
+        or whose J is not finite, are flagged."""
         if fit.plan.kind == "one-step":     # the other kinds have solved against omega
             _check_pd(fit.omega, fit.status, Reason.EFFICIENT_WEIGHT_NOT_PD)
-        if g_n is None:
-            g_n = self.g_n(fit.theta)
-        j = self.n * (g_n * _masked_solve(fit.omega, g_n, fit.status.ok)).sum(axis=1)
+        j = self.n * (fit.g_n * _masked_solve(fit.omega, fit.g_n, fit.status.ok)).sum(axis=1)
         fit.status.flag(~np.isfinite(j), Reason.EFFICIENT_WEIGHT_NOT_PD, np.inf)
         return j
 
@@ -690,5 +686,5 @@ class BatchGmm:
         :class:`Status`."""
         status = Status(self.R)
         s = self.solve(weight, status)
-        u = _masked_solve(weight, self.g_n(theta_eval), status.ok)
+        u = _masked_solve(weight, _obs_mean(self.g_obs(theta_eval)), status.ok)
         return self._d_hat(self.g_obs(theta_weight), s.aG, u, s.M_inv, centered), status

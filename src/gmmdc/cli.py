@@ -379,8 +379,8 @@ def _print_estimate_table(result: dict) -> None:
 # simulate
 
 
-#: Study designs by ``kind``; a design's size fields are its fields but ``alpha0``.
-_DESIGNS = {cls.label: cls for cls in (IvLocal, PanelRandomCoef, PanelLagMiss)}
+#: Study designs by ``kind``; a design's size fields are its init fields but ``alpha0``.
+_DESIGNS = {cls.kind: cls for cls in (IvLocal, PanelRandomCoef, PanelLagMiss)}
 _JSON_TYPES = {int: "an integer", float: "a finite number", bool: "true or false",
                str: "a string", list: "a list of names", dict: "an object"}
 _REQUIRED = object()
@@ -423,7 +423,7 @@ def _study_config(raw) -> StudyConfig:
     cls = _DESIGNS.get(_field(d, "design.kind", str))
     if cls is None:
         raise DataError(f"unknown design kind {d['kind']!r}")
-    names = [f.name for f in dataclasses.fields(cls)]
+    names = [f.name for f in dataclasses.fields(cls) if f.init]
     _known(d, ["kind"] + names, "design.")
     sizes = {name: _field(d, f"design.{name}", int) for name in names if name != "alpha0"}
     boot_ests = _field(raw, "bootstrap_estimators", list, None)
@@ -442,7 +442,7 @@ def _study_config(raw) -> StudyConfig:
 def _study_dict(cfg: StudyConfig) -> dict:
     """The fields of ``cfg``, as :func:`_study_config` reads them."""
     d = dataclasses.asdict(cfg)
-    return {**d, "design": {"kind": cfg.design.label, "alpha0": cfg.design.alpha0, **d["design"]}}
+    return {**d, "design": {"kind": cfg.design.kind, "alpha0": cfg.design.alpha0, **d["design"]}}
 
 
 def _config_from_args(args) -> StudyConfig:
@@ -451,10 +451,9 @@ def _config_from_args(args) -> StudyConfig:
             return _study_config(json.load(fh))
     if args.design is None:
         raise DataError("either --config or --design is required")
-    flags = vars(args)
+    flags = {**vars(args), "kind": args.design}
     raw = {f.name: flags[f.name] for f in dataclasses.fields(StudyConfig)}
-    raw["design"] = {"kind": args.design,
-                     **{f.name: flags[f.name] for f in dataclasses.fields(_DESIGNS[args.design])}}
+    raw["design"] = {f.name: flags[f.name] for f in dataclasses.fields(_DESIGNS[args.design])}
     return _study_config(raw)
 
 

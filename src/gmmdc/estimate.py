@@ -72,11 +72,11 @@ class FitStep:
 class GmmFit:
     """A fitted linear GMM estimator.
 
-    ``steps`` records the full chain of (estimate, weight matrix) pairs so
-    the variance estimators can be assembled without refitting; the final
-    entry's weight is the one the reported estimate minimizes against.
-    ``g_n_hat`` is g_n(theta), the mean of g_i(theta) at the estimate: the
-    moment the J statistic and the variance stage use.
+    ``steps`` records the full chain of (estimate, weight matrix) pairs, each
+    weight the one the kernel solved with, so the final entry's weight is
+    the one the reported estimate minimizes against. ``g_n_hat`` is
+    g_n(theta), the mean of g_i(theta) at the estimate: the moment the J
+    statistic and the variance stage use, formed once by the fit.
     """
 
     theta: np.ndarray
@@ -136,8 +136,7 @@ def fit(sys: LinearMomentSystem, plan: FitPlan) -> GmmFit:
     if not converged:
         warnings.warn(f"iterated GMM did not converge within {plan.max_iter} updates; "
                       "returning the last iterate", RuntimeWarning, stacklevel=2)
-    theta = state.theta[0]
-    result = GmmFit(theta, steps, batch.g_n(state.theta)[0], converged, len(steps), plan)
+    result = GmmFit(state.theta[0], steps, state.g_n[0], converged, len(steps), plan)
     object.__setattr__(result, "_kernel", (sys, batch, state))
     return result
 

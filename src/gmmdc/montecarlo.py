@@ -82,10 +82,10 @@ class ReplicationStreams:
 class IvLocal:
     """Cross-sectional IV with four instruments and a local exclusion violation."""
 
+    kind: str = field(default="iv", init=False)
     n: int
     alpha0: float
 
-    label = "iv"
     true_value = 1.0
 
 
@@ -93,11 +93,11 @@ class IvLocal:
 class PanelRandomCoef:
     """Dynamic panel AR(1) whose autoregressive coefficient varies by individual."""
 
+    kind: str = field(default="panel-rc", init=False)
     N: int
     T: int
     alpha0: float
 
-    label = "panel-rc"
     true_value = 0.5
 
 
@@ -105,11 +105,11 @@ class PanelRandomCoef:
 class PanelLagMiss:
     """Dynamic panel with a predetermined regressor and an omitted-lag violation."""
 
+    kind: str = field(default="panel-lag", init=False)
     N: int
     T: int
     alpha0: float
 
-    label = "panel-lag"
     true_value = 1.0
 
 
@@ -247,20 +247,24 @@ class StudyConfig:
         if self.bootstrap_B is not None:
             _check_B(self.bootstrap_B, "bootstrap_B")
         if self.bootstrap_estimators is not None:
+            if self.bootstrap_B is None:
+                raise ValueError("bootstrap_estimators needs bootstrap_B")
             if not self.bootstrap_estimators:
                 raise ValueError("bootstrap_estimators must not be empty")
             for est in self.bootstrap_estimators:
                 if est not in self.estimators:
                     raise ValueError(f"bootstrap estimator {est!r} not in estimators")
+        for name in ("estimators", "bootstrap_estimators"):
+            names = getattr(self, name) or ()
+            if len(set(names)) < len(names):
+                raise ValueError(f"{name} must not name an estimator twice, got {list(names)!r}")
 
     def plan(self, estimator: str) -> FitPlan:
         return dataclasses.replace(_ESTIMATOR_PLANS[estimator](), centered=self.centered)
 
     def wants_bootstrap(self, estimator: str) -> bool:
-        if self.bootstrap_B is None:
-            return False
         enabled = self.bootstrap_estimators or self.estimators
-        return estimator in enabled
+        return self.bootstrap_B is not None and estimator in enabled
 
 
 @dataclass(frozen=True)

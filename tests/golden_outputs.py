@@ -298,28 +298,43 @@ def _numbers(*leaves) -> bool:
     return all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in leaves)
 
 
+def _structure(got: dict, want: dict) -> str:
+    """How the leaf paths of ``got`` differ from those of ``want``: the count
+    and first path of the leaves added and dropped, in order."""
+    added = [p for p in got if p not in want]
+    dropped = [p for p in want if p not in got]
+    parts = [f"{len(paths)} {'leaf' if len(paths) == 1 else 'leaves'} {verb} (first {paths[0]})"
+             for verb, paths in (("added", added), ("dropped", dropped)) if paths]
+    return "structure differs: " + (", ".join(parts) or "leaves reordered")
+
+
 def compare(got: dict, want: dict, exact: bool) -> list:
-    """One line per case of ``want`` that ``got`` misses or does not match,
-    with its worst relative deviation. A leaf matches when it is equal, or,
-    unless ``exact``, when both are numbers within ATOL + RTOL |want|."""
+    """One line per case of ``want`` that ``got`` misses or does not match:
+    how its structure differs, if it does, and the worst relative deviation
+    of the leaves both hold, with the count of those that moved. A leaf
+    matches when it is equal, or, unless ``exact``, when both are numbers
+    within ATOL + RTOL |want|."""
     problems = []
     for case, expected in want.items():
         if case not in got:
             problems.append(f"{case}: missing")
             continue
-        a, b = list(_leaves(got[case])), list(_leaves(expected))
-        if [p for p, _ in a] != [p for p, _ in b]:
-            problems.append(f"{case}: structure differs")
-            continue
-        worst, where = -1.0, None
-        for (path, x), (_, y) in zip(a, b):
+        a, b = dict(_leaves(got[case])), dict(_leaves(expected))
+        notes = [] if list(a) == list(b) else [_structure(a, b)]
+        worst, where, moved = -1.0, None, 0
+        shared = [(path, a[path], y) for path, y in b.items() if path in a]
+        for path, x, y in shared:
             if _same(x, y) or not exact and _numbers(x, y) and abs(x - y) <= ATOL + RTOL * abs(y):
                 continue
+            moved += 1
             dev = abs(x - y) / abs(y) if _numbers(x, y) and y else math.inf
             if dev > worst:
                 worst, where = dev, path
         if where is not None:
-            problems.append(f"{case}: worst relative deviation {worst:.3e} at {where}")
+            notes.append(f"worst relative deviation {worst:.3e} at {where}, "
+                         f"{moved} of {len(shared)} leaves moved")
+        if notes:
+            problems.append(f"{case}: " + "; ".join(notes))
     problems += [f"{case}: not in the golden file" for case in got if case not in want]
     return problems
 

@@ -8,6 +8,8 @@ with the closed-form oracle in ``reference_formulas.py`` is tested in
 ``test_variance.py`` and by acceptance criterion 6.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -357,6 +359,66 @@ def test_plans_on_a_stack_share_one_preliminary_solve(monkeypatch):
         assert batch.run(FitPlan(kind), compute_j=True).ok.all()
     assert codes.count(Reason.PRELIMINARY_WEIGHT_NOT_PD) == 1
     assert codes.count(Reason.EFFICIENT_WEIGHT_NOT_PD) == 2
+
+
+def _step_systems():
+    """IV with k = 1 and k = 2, and a difference-GMM panel."""
+    y, X, Z = dgp_iv(60, 0.5, ReplicationStreams(55, 0))
+    return {**dict(_systems()), "iv-k2": build_iv_system(y, np.column_stack([X, Z[:, 0]]), Z)}
+
+
+@pytest.mark.parametrize("max_iter", [1000, 2])
+@pytest.mark.parametrize("centered", [False, True])
+@pytest.mark.parametrize("kind", ["one-step", "two-step", "iterated"])
+def test_steps_hold_the_weights_the_kernel_solved_with(kind, centered, max_iter, monkeypatch):
+    """``GmmFit.steps[t].weight`` is, bit for bit, the weight of the kernel's
+    t-th solve: ``w0``, the two-step's Omega_n, and each iterated update's
+    Omega_n from the second moments, whether the fit converged or stopped
+    at ``max_iter``. An iterated fit then solves once more, with Omega_n at
+    its estimate, for the variance stage."""
+    weights = []
+    solve = _batch._solve
+
+    def recording_solve(h_n, G_n, weight, status, code):
+        weights.append(np.array(weight[0]))
+        return solve(h_n, G_n, weight, status, code)
+
+    monkeypatch.setattr(_batch, "_solve", recording_solve)
+    for label, sysm in _step_systems().items():
+        weights.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            f = fit(sysm, FitPlan(kind, centered=centered, max_iter=max_iter))
+        assert f.converged == (kind != "iterated" or max_iter == 1000), label
+        assert len(f.steps) == f.iterations == len(weights) - (kind == "iterated"), label
+        for t, (step, weight) in enumerate(zip(f.steps, weights)):
+            assert np.array_equal(step.weight, weight), (label, t)
+        assert f.final_weight is f.steps[-1].weight
+
+
+@pytest.mark.parametrize("kind, passes", [("one-step", 1), ("two-step", 2), ("iterated", 2)])
+def test_one_pass_over_the_data_per_value(kind, passes, monkeypatch):
+    """A fit forms g_i at the one-step estimate and, unless one-step, at its
+    estimate, once: ``variance_report``, ``j_test`` and ``GmmFit.steps``
+    read them. A stacked ``run`` makes one pass per plan."""
+    calls = []
+    g_obs = BatchGmm.g_obs
+
+    def counting_g_obs(self, theta):
+        calls.append(self.R)
+        return g_obs(self, theta)
+
+    monkeypatch.setattr(BatchGmm, "g_obs", counting_g_obs)
+    sysm = dict(_systems())["panel"]
+    f = fit(sysm, FitPlan(kind))
+    variance_report(sysm, f)
+    j_test(sysm, f)
+    assert calls == [1] * passes
+    calls.clear()
+    batch = BatchGmm.from_stack(_stacks()["panel"])
+    for plans, kind in enumerate(("one-step", "two-step", "iterated"), 1):
+        assert batch.run(FitPlan(kind), compute_j=True).ok.all()
+        assert calls == [4] * plans
 
 
 @pytest.mark.parametrize("kind", ["one-step", "two-step", "iterated"])

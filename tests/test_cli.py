@@ -558,16 +558,17 @@ def _study_configs(draw):
     """Valid study configurations of every design kind, with and without a bootstrap."""
     cls = draw(st.sampled_from(list(cli._DESIGNS.values())))
     sizes = {f.name: draw(st.integers(1, 10**6))
-             for f in dataclasses.fields(cls) if f.name != "alpha0"}
+             for f in dataclasses.fields(cls) if f.init and f.name != "alpha0"}
     estimators = draw(st.lists(st.sampled_from(["one", "two", "iter"]), min_size=1, unique=True))
     boot_ests = st.lists(st.sampled_from(estimators), min_size=1, unique=True).map(tuple)
+    bootstrap_B = draw(st.none() | st.integers(99, 10**5))
     return montecarlo.StudyConfig(
         design=cls(alpha0=draw(st.floats(allow_nan=False, allow_infinity=False)), **sizes),
         replications=draw(st.integers(1, 10**6)),
         estimators=tuple(estimators),
         seed=draw(st.integers(0, 2**64)),
-        bootstrap_B=draw(st.none() | st.integers(99, 10**5)),
-        bootstrap_estimators=draw(st.none() | boot_ests),
+        bootstrap_B=bootstrap_B,
+        bootstrap_estimators=None if bootstrap_B is None else draw(st.none() | boot_ests),
         fixed_misspec=cls is montecarlo.IvLocal and draw(st.booleans()),
         centered=draw(st.booleans()),
     )
@@ -618,6 +619,23 @@ class TestSimulateCommand:
                      "--seed", "-1", "--threads", "2"])
         assert code == 2
         assert "seed must be a non-negative integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--bootstrap-estimators", "two"], "bootstrap_estimators needs bootstrap_B"),
+        (["--estimators", "one,one"], "estimators must not name an estimator twice"),
+        (["--estimators", "one,two", "--bootstrap-B", "99", "--bootstrap-estimators", "two,two"],
+         "bootstrap_estimators must not name an estimator twice"),
+    ])
+    def test_contradictory_study_exits_2_before_a_replication_runs(self, capsys, monkeypatch,
+                                                                   flags, message):
+        """A bootstrap estimator list without B ran no bootstrap, and an
+        estimator named twice ran twice per chunk; both are refused first."""
+        monkeypatch.setattr(montecarlo, "_chunk_records", None)     # never reached
+        code = main(["simulate", "--design", "iv", "--n", "50", "--reps", "2",
+                     "--threads", "1", *flags])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
 
     def test_non_integer_config_seed_exits_2(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -428,9 +428,9 @@ class TestHelpersAreKernelViews:
             domegas.append(omega_derivatives(*args))
             return domegas[-1]
 
-        def recording_j_stat(self, fit, g_n=None):
-            j_moments.append(g_n)
-            return j_stat(self, fit, g_n)
+        def recording_j_stat(self, fit):
+            j_moments.append(fit.g_n)
+            return j_stat(self, fit)
 
         monkeypatch.setattr(_batch, "_omega_derivatives", recording_omega_derivatives)
         monkeypatch.setattr(BatchGmm, "j_stat", recording_j_stat)
@@ -651,19 +651,16 @@ class TestCompactFactors:
         assert gathered.factors.idx is sysm.factors.idx
         assert _same_bits(gathered.system(2).Z_obs, want[idx[2]])
 
-    def test_stacks_of_different_maps_hold_every_row_in_full(self):
-        """``from_stack`` keeps the stored values while the systems' maps agree;
-        from the first that differs on, the stack holds Z_obs in full."""
+    def test_stacks_of_different_maps_are_refused(self):
+        """``from_stack`` keeps the stored values under the systems' one index
+        map; systems whose maps differ are refused, as a different H is."""
         compact = dict(_builder_systems())["ar1"]
         dense = LinearMomentSystem(h=compact.h, G_obs=compact.G_obs, Z_obs=compact.Z_obs,
                                    H=compact.H)
         assert dense.factors.idx is None
         for rows in ([compact, compact, dense], [dense, compact], [compact, dense, compact]):
-            batch = BatchGmm.from_stack(rows)
-            assert batch.factors.idx is None and batch.factors.values.shape == batch.Z_obs.shape
-            assert _same_bits(batch.Z_obs, np.stack([compact.Z_obs] * len(rows)))
-            assert _same_bits(batch.factors.mean(),
-                              BatchGmm.from_stack([compact] * len(rows)).factors.mean())
+            with pytest.raises(ValueError, match="index map"):
+                BatchGmm.from_stack(rows)
         kept = BatchGmm.from_stack([compact, compact]).factors
         assert kept.idx is compact.factors.idx
         assert kept.values.shape == (2, *compact.factors.values.shape)

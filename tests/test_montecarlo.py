@@ -143,6 +143,16 @@ class TestRunStudy:
         f = fit(sysm, FitPlan.two_step())
         assert block.mean_theta == pytest.approx(float(f.theta[0]), rel=1e-12)
 
+    def test_summary_config_names_the_design_kind(self):
+        """Panel-rc and panel-lag studies of equal N, T and alpha0 differ in
+        their summaries' ``config`` blocks: a design's kind is a field."""
+        blocks = [dataclasses.asdict(run_study(StudyConfig(
+            design=cls(N=30, T=4, alpha0=0.0), replications=2, estimators=("one",), seed=1)))
+            ["config"] for cls in (PanelRandomCoef, PanelLagMiss)]
+        assert [b["design"]["kind"] for b in blocks] == ["panel-rc", "panel-lag"]
+        assert blocks[0] != blocks[1]
+        assert {**blocks[0]["design"], "kind": None} == {**blocks[1]["design"], "kind": None}
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_progress_counts_rise_to_replications(self, threads):
         cfg = StudyConfig(design=IvLocal(n=40, alpha0=0.0), replications=150,
