@@ -409,7 +409,7 @@ class BatchGmm:
             if s.G_obs.shape != G.shape[1:]:
                 raise ValueError("stacked systems must share their shapes (n, q, k)")
             if (s.factors is None) != (f is None) or f is not None and not (
-                    np.array_equal(s.H, f.H)
+                    (s.H is f.H or np.array_equal(s.H, f.H))
                     and (s.factors.idx is f.idx or np.array_equal(s.factors.idx, f.idx))):
                 raise ValueError("stacked systems must all have weight factors with the same "
                                  "core H and index map")
@@ -474,9 +474,11 @@ class BatchGmm:
     def _m_contrib(self, g, aG, b, w_obs: Optional[WeightFactors]):
         """Influence contributions (R, n, k); ``w_obs`` holds the weight's
         contributions Xi_i, None for the identity, whose term drops."""
-        m = g @ aG + np.einsum("rnqk,rq->rnk", self.G, b)
+        R, n, q, k = self.G.shape      # G_i' b for every i: G (n, q k) times b kron I_k
+        b_kron = (b[..., None, None] * np.eye(k)).reshape(R, q * k, k)
+        m = g @ aG + self.G.reshape(R, n, q * k) @ b_kron
         if w_obs is not None:
-            m = m - w_obs.times(b) @ aG
+            m = m - w_obs.bilinear(b, aG)
         return m
 
     def _d_hat(self, g_weight, aG, u, M_inv, centered):

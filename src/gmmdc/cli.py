@@ -27,7 +27,8 @@ from .errors import GmmError, JNotDefinedError
 from .estimate import DEFAULT_TOL, FitPlan, fit
 from .inference import _check_B, _check_seed, _percentile_t, _unwrap, j_test, t_test
 from .linmoment import PanelDataset, WeightSpec, build_ab_system, build_iv_system
-from .montecarlo import IvLocal, PanelLagMiss, PanelRandomCoef, StudyConfig, run_study
+from .montecarlo import (IvLocal, PanelLagMiss, PanelRandomCoef, StudyConfig, _check_replications,
+                         run_study)
 from .variance import variance_report
 
 SCHEMA = "gmm-dc/1"
@@ -451,6 +452,7 @@ def _config_from_args(args) -> StudyConfig:
             return _study_config(json.load(fh))
     if args.design is None:
         raise DataError("either --config or --design is required")
+    _check_replications(args.replications, "--reps")
     flags = {**vars(args), "kind": args.design}
     raw = {f.name: flags[f.name] for f in dataclasses.fields(StudyConfig)}
     raw["design"] = {f.name: flags[f.name] for f in dataclasses.fields(_DESIGNS[args.design])}

@@ -77,8 +77,10 @@ class WeightSpec:
         return WeightSpec(WeightKind.EFFICIENT_CENTERED, np.asarray(theta, dtype=float))
 
 
-#: Entries of H Z_i that :meth:`WeightFactors.mean` forms at once (512 kB).
-MEAN_BLOCK = 2**16
+#: The core H = [[1]] of rank-one contributions, one read-only object for
+#: every IV system and :meth:`WeightFactors.rank_one`.
+_UNIT_CORE = np.ones((1, 1))
+_UNIT_CORE.flags.writeable = False
 
 
 class WeightFactors(NamedTuple):
@@ -92,8 +94,10 @@ class WeightFactors(NamedTuple):
     ``Z`` is held as ``values`` (..., n, p) and an (e, q) index map ``idx``
     shared by every observation, Z_i = values_i[idx]: a difference-GMM unit's
     values are a zero slot and its T - 1 instruments. ``idx`` None is the
-    identity map, ``values`` Z itself. A mapped ``Z`` is built on access, in
-    blocks of replications by :meth:`mean` and :meth:`times`.
+    identity map, ``values`` Z itself. :meth:`mean` and :meth:`bilinear`
+    take mapped factors from their values through the map's one-hot
+    expansion E (p, e, q), Z_i = sum_j values_i[j] E[j], and never form Z;
+    ``Z`` itself is built on access.
     """
 
     values: np.ndarray
@@ -103,7 +107,7 @@ class WeightFactors(NamedTuple):
     @staticmethod
     def rank_one(f: np.ndarray) -> "WeightFactors":
         """Rank-one contributions f_i f_i' of rows f, shape (..., n, q): e = 1, H = [[1]]."""
-        return WeightFactors(f[..., None, :], np.ones((1, 1)))
+        return WeightFactors(f[..., None, :], _UNIT_CORE)
 
     @property
     def shape(self) -> tuple:
@@ -118,43 +122,49 @@ class WeightFactors(NamedTuple):
         flat = self.values.reshape(-1, self.values.shape[-1])
         return np.take(flat, self.idx.ravel(), axis=1).reshape(self.shape)
 
-    def _blocks(self):
-        """Slices of replications of at most :data:`MEAN_BLOCK` entries of Z
-        (one replication at least), each with its factors Z (B, n, e, q)."""
-        *lead, n, e, q = self.shape
-        values = self.values.reshape(-1, *self.values.shape[len(lead):])
-        step = max(1, MEAN_BLOCK // (n * e * q))
-        for lo in range(0, len(values), step):
-            block = values[lo:lo + step]
-            yield slice(lo, lo + step), self._replace(values=block).Z
+    def _expansion(self) -> np.ndarray:
+        """The one-hot expansion E (p, e, q) of the index map: E[j, t, c] = 1
+        where ``idx[t, c]`` is j."""
+        return (self.idx == np.arange(self.values.shape[-1])[:, None, None]).astype(float)
 
     def mean(self) -> np.ndarray:
-        """The mean of W(X_i) over observations, shape (..., q, q), bit for
-        bit one product Z' (H Z) over the whole stack.
+        """The mean of W(X_i) over observations, shape (..., q, q).
 
-        H Z_i is formed for each block of :meth:`_blocks`, so no second copy
-        of the factors is held. With one BLAS thread the 2**16 bound took 5.9
-        instead of 8.1 ms on a panel-rc chunk (64, 200, 6, 21) and 74 instead
-        of 140 ms on a panel bootstrap stack (499, 500, 5, 15), where 2**17
-        and 2**18 were slower, and the same time on IV stacks.
+        Mapped factors: W(X_i) = sum_jl v_ij v_il E_j' H E_l, so the mean is
+        V'V/n contracted with the constant E'H E, taken as two products per
+        replication, (V'V)(H E) and then E' of that; no Z is formed.
+        Identity-map factors with e = 1 (IV rows, :meth:`rank_one`) take
+        Z'Z H in one GEMM, and other identity-map factors Z'(H Z).
         """
         *lead, n, e, q = self.shape
-        out = np.empty((int(np.prod(lead)), q, q))
-        for rows, Z in self._blocks():
-            Zf = Z.reshape(-1, n * e, q)
-            out[rows] = np.swapaxes(Zf, -1, -2) @ (self.H @ Z).reshape(Zf.shape)
-        return _sym(out.reshape(*lead, q, q) / n)
+        if self.idx is not None:
+            V, E = self.values, self._expansion()
+            VHE = (np.swapaxes(V, -1, -2) @ V) @ (self.H @ E).reshape(len(E), e * q)
+            out = E.reshape(-1, q).T @ VHE.reshape(*lead, -1, q)
+        else:
+            Z = self.values.reshape(*lead, n * e, q)
+            out = (np.swapaxes(Z, -1, -2) @ Z * self.H[0, 0] if e == 1 else
+                   np.swapaxes(Z, -1, -2) @ (self.H @ self.values).reshape(Z.shape))
+        return _sym(out / n)
 
-    def times(self, b: np.ndarray) -> np.ndarray:
-        """W(X_i) b = Z_i' H (Z_i b) for every observation, shape (..., n, q),
-        for each block of :meth:`_blocks`."""
+    def bilinear(self, b: np.ndarray, A: np.ndarray) -> np.ndarray:
+        """b' W(X_i) A = (H Z_i b)' (Z_i A) for every observation, shape
+        (..., n, k), for b (..., q) and A (..., q, k).
+
+        One product of the factors with [b, A] gives every Z_i [b, A]; a
+        mapped factor's is V (E [b, A]), from its values. W(X_i) b is never
+        formed.
+        """
         *lead, n, e, q = self.shape
-        out = np.empty((*lead, n, q))
-        b, flat = b.reshape(-1, q, 1), out.reshape(-1, n, q)
-        for rows, Z in self._blocks():
-            Zb = (Z.reshape(-1, n * e, q) @ b[rows]).reshape(-1, n, e)
-            np.einsum("rneq,rne->rnq", Z, Zb @ self.H.T, out=flat[rows])
-        return out
+        B = np.concatenate([b[..., None], A], axis=-1)                # (..., q, 1 + k)
+        if self.idx is None:
+            ZB = self.values.reshape(*lead, n * e, q) @ B
+        else:
+            E = self._expansion()
+            ZB = self.values @ (E.reshape(-1, q) @ B).reshape(*lead, len(E), -1)
+        ZB = ZB.reshape(*lead, n, e, B.shape[-1])
+        HZb = ZB[..., 0] * self.H[0, 0] if e == 1 else ZB[..., 0] @ self.H
+        return np.einsum("...ne,...nek->...nk", HZb, ZB[..., 1:])
 
 
 def _rows(f: Optional[WeightFactors], key) -> Optional[WeightFactors]:
@@ -185,21 +195,14 @@ def _sym(a: np.ndarray) -> np.ndarray:
 
 
 def _obs_mean(a: np.ndarray, keepdims: bool = False) -> np.ndarray:
-    """The mean over the observations (axis 1) of a stack a (R, n, ...), bit
-    for bit ``a.mean(axis=1)``.
-
-    numpy reduces that middle axis one observation at a time over rows of
-    width m, slowly when they are short. For R >= 8, 2 <= m <= 16 and at most
-    2**20 entries, the sum runs over the (n, R m) copy ``moveaxis(a, 1, 0)``:
-    the same terms in the same order. Measured with one BLAS thread, that
-    took 0.40-0.65 of the plain mean's time at R = 64 and 499, and longer at
-    m = 1, at R <= 4, at m >= 24 and beyond about 1.3e6 entries.
+    """The mean over the observations (axis 1) of a stack a (R, n, ...): one
+    GEMV per replication, ``ones(n) @ a[r]``. A strided stack is summed from
+    a C-contiguous copy, since BLAS sums strided operands in another order.
+    Row r's bits are those of its R = 1 mean, whatever its position in the
+    stack and its alignment in memory.
     """
     R, n = a.shape[:2]
-    if R >= 8 and 2 <= a[0, 0].size <= 16 and a.size <= 2**20 and a.flags.c_contiguous:
-        mean = np.moveaxis(a, 1, 0).reshape(n, -1).sum(axis=0).reshape(R, *a.shape[2:]) / n
-    else:
-        mean = a.mean(axis=1)
+    mean = (np.ones(n) @ np.ascontiguousarray(a).reshape(R, n, -1) / n).reshape(R, *a.shape[2:])
     return mean[:, None] if keepdims else mean
 
 
@@ -489,7 +492,7 @@ def build_iv_system(y: np.ndarray, X: np.ndarray, Z: np.ndarray) -> LinearMoment
         )
     h = Z * y[:, None]
     G_obs = -np.einsum("nq,nk->nqk", Z, X)
-    return LinearMomentSystem(h=h, G_obs=G_obs, Z_obs=Z[:, None, :].copy(), H=np.ones((1, 1)))
+    return LinearMomentSystem(h=h, G_obs=G_obs, Z_obs=Z[:, None, :].copy(), H=_UNIT_CORE)
 
 
 def differencing_weight(m: int) -> np.ndarray:

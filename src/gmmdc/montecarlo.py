@@ -47,6 +47,9 @@ from .linmoment import (
 #: depend on the worker count.
 CHUNK_SIZE = 64
 
+#: The most replications one study runs; the largest acceptance study runs 20,000.
+MAX_REPLICATIONS = 10**6
+
 #: Stream-domain tag for deriving per-replication bootstrap seeds.
 _BOOT_SEED_BLOCK = 7919
 
@@ -220,6 +223,12 @@ def draw_system(design: Design, streams: ReplicationStreams,
     raise TypeError(f"unknown design {design!r}")
 
 
+def _check_replications(R: int, name: str = "replications") -> None:
+    """Reject a study size outside [1, MAX_REPLICATIONS]; the error names ``name``."""
+    if not 1 <= R <= MAX_REPLICATIONS:
+        raise ValueError(f"{name} must be at least 1 and at most {MAX_REPLICATIONS}, got {R}")
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Parameters of one Monte Carlo study."""
@@ -234,8 +243,7 @@ class StudyConfig:
     centered: bool = False
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
+        _check_replications(self.replications)
         _check_seed(self.seed)
         if self.fixed_misspec and not isinstance(self.design, IvLocal):
             raise ValueError("fixed_misspec applies to the IV design only")

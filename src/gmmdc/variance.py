@@ -87,8 +87,9 @@ def m_contributions(sys: LinearMomentSystem, theta: np.ndarray, weight: np.ndarr
     where Xi is the weight matrix and Xi_i its per-observation contribution.
     ``weight_obs=None`` marks the identity weight, for which the last term
     drops; :class:`~gmmdc.linmoment.WeightFactors` gives contributions
-    Z_i' H Z_i, applied as Z_i' H (Z_i b) without forming them; an (n, q)
-    array gives rank-one contributions f_i f_i' (efficient weights), taken as
+    Z_i' H Z_i, applied as (H Z_i b)' (Z_i A) with b = Xi^-1 g_n and
+    A = Xi^-1 G_n, without forming them; an (n, q) array gives rank-one
+    contributions f_i f_i' (efficient weights), taken as
     :meth:`~gmmdc.linmoment.WeightFactors.rank_one`; an (n, q, q) array gives
     them in full and is applied through its exact factors
     (:func:`~gmmdc.linmoment.full_factors`).

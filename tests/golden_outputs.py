@@ -289,6 +289,28 @@ def _leaves(value, path=""):
         yield path, value
 
 
+def _scales(value, path=""):
+    """(path, scale) of every leaf of a JSON value, in order: the largest
+    magnitude in the largest numeric array that holds the leaf (a matrix, a
+    vector, a stack of matrices), or its own magnitude outside any array."""
+    if isinstance(value, list) and value:
+        try:
+            a = np.asarray(value)
+        except ValueError:        # ragged
+            a = None
+        if a is not None and a.dtype.kind in "fiu":
+            scale = float(np.abs(a[~np.isnan(a)]).max(initial=0.0))
+            for leaf_path, _ in _leaves(value, path):
+                yield leaf_path, scale
+            return
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, v in items:
+            yield from _scales(v, f"{path}/{key}" if isinstance(value, dict) else f"{path}[{key}]")
+    else:
+        yield path, abs(value) if _numbers(value) else math.nan
+
+
 def _same(got, want) -> bool:
     return got == want or (isinstance(got, float) and isinstance(want, float)
                            and math.isnan(got) and math.isnan(want))
@@ -308,12 +330,27 @@ def _structure(got: dict, want: dict) -> str:
     return "structure differs: " + (", ".join(parts) or "leaves reordered")
 
 
+def _deviation(got, want, scale) -> float:
+    """|got - want| / scale for numbers and a positive scale, else inf."""
+    dev = abs(got - want) / scale if _numbers(got, want) and scale > 0 else math.inf
+    return math.inf if math.isnan(dev) else dev
+
+
+def _worst(devs: dict) -> tuple:
+    """The largest deviation of ``devs`` (path -> deviation) and its first path."""
+    path = max(devs, key=lambda p: devs[p])
+    return devs[path], path
+
+
 def compare(got: dict, want: dict, exact: bool) -> list:
     """One line per case of ``want`` that ``got`` misses or does not match:
-    how its structure differs, if it does, and the worst relative deviation
-    of the leaves both hold, with the count of those that moved. A leaf
-    matches when it is equal, or, unless ``exact``, when both are numbers
-    within ATOL + RTOL |want|."""
+    how its structure differs, if it does, and the worst deviation of the
+    leaves both hold, with the count of those that moved. The worst
+    deviation is given relative to the leaf and scaled by the largest
+    magnitude in the leaf's array (:func:`_scales`), so that a leaf that is
+    zero up to rounding does not make the headline. A leaf matches when it is
+    equal, or, unless ``exact``, when both are numbers within
+    ATOL + RTOL |want|."""
     problems = []
     for case, expected in want.items():
         if case not in got:
@@ -321,18 +358,18 @@ def compare(got: dict, want: dict, exact: bool) -> list:
             continue
         a, b = dict(_leaves(got[case])), dict(_leaves(expected))
         notes = [] if list(a) == list(b) else [_structure(a, b)]
-        worst, where, moved = -1.0, None, 0
+        scales = dict(_scales(expected))
+        relative, scaled = {}, {}
         shared = [(path, a[path], y) for path, y in b.items() if path in a]
         for path, x, y in shared:
             if _same(x, y) or not exact and _numbers(x, y) and abs(x - y) <= ATOL + RTOL * abs(y):
                 continue
-            moved += 1
-            dev = abs(x - y) / abs(y) if _numbers(x, y) and y else math.inf
-            if dev > worst:
-                worst, where = dev, path
-        if where is not None:
+            relative[path], scaled[path] = _deviation(x, y, abs(y)), _deviation(x, y, scales[path])
+        if relative:
+            (worst, where), (worst_scaled, where_scaled) = _worst(relative), _worst(scaled)
             notes.append(f"worst relative deviation {worst:.3e} at {where}, "
-                         f"{moved} of {len(shared)} leaves moved")
+                         f"scaled {worst_scaled:.3e} at {where_scaled}, "
+                         f"{len(relative)} of {len(shared)} leaves moved")
         if notes:
             problems.append(f"{case}: " + "; ".join(notes))
     problems += [f"{case}: not in the golden file" for case in got if case not in want]

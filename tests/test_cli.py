@@ -733,6 +733,25 @@ class TestSimulateCommand:
         assert rerun["estimators"] == result["estimators"]
         assert result["estimators"]["one"]["reject_boot"] is None
 
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    @pytest.mark.parametrize("reps", [0, montecarlo.MAX_REPLICATIONS + 1, 10**12])
+    def test_study_size_is_bounded_before_any_allocation(self, tmp_path, capsys, monkeypatch,
+                                                         form, reps):
+        """A huge --reps used to reach run_study, which lists every chunk's
+        bounds up front."""
+        monkeypatch.setattr(cli, "run_study", lambda *a, **k: pytest.fail("the study started"))
+        args = ["simulate", "--design", "iv", "--n", "60", "--reps", str(reps)]
+        name = "--reps"
+        if form == "config":
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"design": {"kind": "iv", "n": 60}, "replications": reps}))
+            args, name = ["simulate", "--config", str(path)], "replications"
+        assert main(args + ["--threads", "1"]) == 2
+        captured = capsys.readouterr()
+        assert (f"{name} must be at least 1 and at most {montecarlo.MAX_REPLICATIONS}, "
+                f"got {reps}") in captured.err
+        assert captured.out == ""
+
     def test_missing_design_exits_2(self, capsys):
         assert main(["simulate", "--reps", "5"]) == 2
 

@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -347,12 +348,26 @@ class TestFactoredWeightContributions:
         with pytest.raises(ValueError, match=r"\(n, e, q\)"):
             LinearMomentSystem(h=h, G_obs=G, Z_obs=Z[:, :, :1], H=np.eye(3))
 
-    def test_rank_one_times_is_the_outer_product_form(self, rng):
+    def test_rank_one_bilinear_is_the_outer_product_form(self, rng):
+        """b' f_i f_i' A = (f_i' b)(f_i' A), within :func:`_bilinear_bound`."""
         for shape in ((30, 4), (3, 30, 4)):
             f = rng.standard_normal(shape)
             b = rng.standard_normal(shape[:-2] + shape[-1:])
-            got = WeightFactors.rank_one(f).times(b)
-            assert np.array_equal(got, f * (f @ b[..., None]))
+            A = rng.standard_normal(shape[:-2] + shape[-1:] + (2,))
+            got = WeightFactors.rank_one(f).bilinear(b, A)
+            want = (f @ b[..., None]) * (f @ A)
+            bound = _bilinear_bound(f[..., None, :], np.ones((1, 1)), b, A)
+            assert np.all(np.abs(got - want) <= bound)
+
+    def test_iv_systems_share_one_read_only_core(self):
+        """Every IV system holds the same H = [[1]], so stacking them compares
+        the cores by identity; the shared core cannot be written."""
+        a, b = (build_iv_system(*dgp_iv(40, 0.3, ReplicationStreams(9, r))) for r in range(2))
+        assert a.H is b.H and a.H is WeightFactors.rank_one(a.h).H
+        assert np.array_equal(a.H, np.ones((1, 1))) and not a.H.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a.H[0, 0] = 2.0
+        assert BatchGmm.from_stack([a, b]).H is a.H
 
     @pytest.mark.parametrize("spec", [WeightSpec.efficient_uncentered([0.3]),
                                       WeightSpec.efficient_centered([0.3])])
@@ -451,23 +466,61 @@ class TestHelpersAreKernelViews:
                                       domega[0, :, :, j])
 
 
+#: Machine epsilon of float64.
+_EPS = np.finfo(float).eps
+
+
+def _aligned(a: np.ndarray, shift: int) -> np.ndarray:
+    """A C-contiguous copy of ``a`` that starts ``shift`` float64 slots into a
+    fresh buffer, so that its alignment in memory varies with ``shift``."""
+    buf = np.empty(a.size + 8)
+    out = buf[shift:shift + a.size].reshape(a.shape)
+    out[...] = a
+    return out
+
+
+_TAILS = [(1,), (2,), (4,), (16,), (17,), (21,), (4, 1), (4, 2), (8, 2), (21, 1), (3, 7)]
+
+
 @settings(max_examples=120, deadline=None)
-@given(R=st.sampled_from([1, 2, 7, 8, 64]), n=st.integers(1, 60),
-       tail=st.sampled_from([(1,), (2,), (4,), (16,), (17,), (21,), (4, 1), (4, 2), (8, 2),
-                             (21, 1), (3, 7)]),
-       contiguous=st.booleans(), keepdims=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_property_obs_mean_is_numpy_mean_bit_for_bit(R, n, tail, contiguous, keepdims, seed):
-    """Both sides of the shape rule (R below and from 8, row width m = 1,
-    2 <= m <= 16, m >= 17, strided input) give ``a.mean(axis=1)``'s bits, on values spread
-    over 16 decades, where any change of summation order shows."""
+@given(R=st.sampled_from([1, 2, 7, 8, 64, 499]), n=st.integers(1, 60),
+       tail=st.sampled_from(_TAILS), data=st.data(), contiguous=st.booleans(),
+       keepdims=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_property_obs_mean_row_is_its_one_row_mean(R, n, tail, data, contiguous, keepdims,
+                                                   seed):
+    """Row r of any stack, at any position and any alignment of either
+    operand, is bit for bit the mean of its one-row stack: a stack's rows
+    agree with their R = 1 views. Values spread over 16 decades, where any
+    change of summation order shows."""
     rng = np.random.default_rng(seed)
+    r = data.draw(st.integers(0, R - 1), label="r")
+    shift, row_shift = data.draw(st.integers(0, 7), label="shift"), data.draw(st.integers(0, 7))
     shape = (R, n if contiguous else 2 * n, *tail)
-    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    a = _aligned(rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape), shift)
     if not contiguous:
         a = a[:, ::2]
-    got, want = _obs_mean(a, keepdims), a.mean(axis=1, keepdims=keepdims)
-    assert got.shape == want.shape and got.dtype == want.dtype
+    row = _aligned(a[r:r + 1], row_shift)
+    got, want = _obs_mean(a, keepdims)[r], _obs_mean(row, keepdims)[0]
+    assert got.shape == want.shape == a.mean(axis=1, keepdims=keepdims)[r].shape
     assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(R=st.sampled_from([1, 2, 8, 64]), n=st.integers(1, 200), tail=st.sampled_from(_TAILS),
+       seed=st.integers(0, 2**32 - 1))
+def test_property_obs_mean_is_within_the_summation_bound(R, n, tail, seed):
+    """Every entry lies within n eps sum_i |a_i| / n of the exact mean (the
+    correctly rounded ``math.fsum``, divided by n): the forward error bound of
+    a sum of n terms in any order, with the division's rounding, doubled."""
+    rng = np.random.default_rng(seed)
+    shape = (R, n, *tail)
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    got = _obs_mean(a).reshape(R, -1)
+    cols = np.moveaxis(a.reshape(R, n, -1), 1, -1)
+    for r, j in np.ndindex(got.shape):
+        col = cols[r, j]
+        exact = math.fsum(col) / n
+        assert abs(got[r, j] - exact) <= n * _EPS * math.fsum(np.abs(col)) / n
 
 
 def _one_product_mean(Z, H):
@@ -492,25 +545,42 @@ def _factor_stacks():
     }
 
 
-class TestBlockedWeightMean:
-    """``WeightFactors.mean`` forms H Z_i in blocks of replications, bit for
-    bit the single product over the whole stack."""
+def _mean_bound(Z, H):
+    """The bound on a data-average weight against :func:`_one_product_mean`:
+    (n e + e + 2) eps times the mean of |Z_i|' |H| |Z_i|, the forward error
+    bound of either order of the products and the sum over observations."""
+    *lead, n, e, q = Z.shape
+    absZ = np.abs(Z).reshape(*lead, n * e, q)
+    return (n * e + e + 2) * _EPS * (np.swapaxes(absZ, -1, -2)
+                                     @ (np.abs(H) @ np.abs(Z)).reshape(absZ.shape) / n)
 
-    @pytest.mark.parametrize("rows_per_block", [None, 1, 3])
-    def test_blocks_equal_the_single_product(self, monkeypatch, rows_per_block):
+
+class TestWeightMean:
+    """``WeightFactors.mean`` is the single product Z'(H Z) over the stack, to
+    :func:`_mean_bound`; a mapped stack's mean never forms Z, and row r of a
+    stack is bit for bit the mean of its one-replication stack."""
+
+    def test_mean_is_within_the_bound_of_the_single_product(self):
         for label, w in _factor_stacks().items():
-            if rows_per_block is not None:
-                n, e, q = w.Z.shape[-3:]
-                monkeypatch.setattr(linmoment, "MEAN_BLOCK", rows_per_block * n * e * q)
             got, want = w.mean(), _one_product_mean(w.Z, w.H)
             assert got.shape == want.shape, label
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), label
+            assert np.all(np.abs(got - want) <= _mean_bound(w.Z, w.H)), label
 
-    def test_a_panel_chunk_spans_several_blocks_of_many_iv_rows(self):
-        """The default bound splits the panel case above, and never loops
-        over narrow IV replications one at a time."""
-        assert 64 * 200 * 6 * 21 > 8 * linmoment.MEAN_BLOCK
-        assert linmoment.MEAN_BLOCK // (100 * 1 * 4) >= 100
+    def test_stack_rows_are_their_one_replication_products(self):
+        """Also for b' W(X_i) A, and for the mapped stacks of every design."""
+        rng = np.random.default_rng(6)
+        stacks = {**_factor_stacks(), **{label: w for label, (w, _) in _factor_cases().items()
+                                         if label.endswith(", stack")}}
+        for label, w in stacks.items():
+            if len(w.shape) < 4:
+                continue
+            R, q = w.shape[0], w.shape[-1]
+            b, A = rng.standard_normal((R, q)), rng.standard_normal((R, q, 2))
+            mean, bilinear = w.mean(), w.bilinear(b, A)
+            for r in {0, 1 % R, R - 1}:
+                one = w._replace(values=w.values[r:r + 1].copy())
+                assert _same_bits(mean[r], one.mean()[0]), label
+                assert _same_bits(bilinear[r], one.bilinear(b[r:r + 1], A[r:r + 1])[0]), label
 
 
 def _dense_diff_gmm(y, x, mode):
@@ -530,11 +600,20 @@ def _dense_diff_gmm(y, x, mode):
     return h, G, Z
 
 
-def _dense_times(Z, H, b):
-    """W(X_i) b of dense factors Z (..., n, e, q), as one product over the stack."""
-    *lead, n, e, q = Z.shape
-    Zb = (Z.reshape(*lead, n * e, q) @ b[..., None]).reshape(*lead, n, e)
-    return np.einsum("...neq,...ne->...nq", Z, Zb @ H.T)
+def _dense_bilinear(Z, H, b, A):
+    """b' W(X_i) A of dense factors Z (..., n, e, q), with W(X_i) formed in full."""
+    W = np.swapaxes(Z, -1, -2) @ (H @ Z)
+    return np.einsum("...p,...npq,...qk->...nk", b, W, A)
+
+
+def _bilinear_bound(Z, H, b, A):
+    """The bound on ``bilinear`` against :func:`_dense_bilinear`: 2 (q + e + 1)
+    eps times |b|' |Z_i|' |H| |Z_i| |A|, the forward error bound of either
+    order of the three products."""
+    absW = np.swapaxes(np.abs(Z), -1, -2) @ (np.abs(H) @ np.abs(Z))
+    e, q = Z.shape[-2:]
+    return 2 * (q + e + 1) * _EPS * np.einsum("...p,...npq,...qk->...nk", np.abs(b), absW,
+                                                  np.abs(A))
 
 
 def _same_bits(a, b):
@@ -586,9 +665,9 @@ def _factor_cases():
 
 class TestCompactFactors:
     """Difference-GMM factors are stored as each unit's instrument values and
-    one shared index map; every other form under the identity map. Z_obs,
-    the data-average weight and W(X_i) b are bit for bit those of the
-    zero-padded dense blocks, at any block size of ``WeightFactors``."""
+    one shared index map; every other form under the identity map. Z_obs is
+    bit for bit that of the zero-padded dense blocks, and the data-average
+    weight and b' W(X_i) A are within the stated bounds of the dense forms."""
 
     @pytest.mark.parametrize("mode", ["ar1", "predetermined"])
     @pytest.mark.parametrize("lead", list(_LEADS))
@@ -613,18 +692,29 @@ class TestCompactFactors:
             for got, want in zip(_build_diff_gmm(y, x, mode)[:2], _dense_diff_gmm(y, x, mode)):
                 assert _same_bits(got, want)
 
-    @pytest.mark.parametrize("rows_per_block", [None, 1, 3])
-    def test_z_mean_and_times_equal_the_dense_forms(self, monkeypatch, rows_per_block):
+    def test_z_mean_and_bilinear_match_the_dense_forms(self):
         rng = np.random.default_rng(5)
         for label, (w, Z) in _factor_cases().items():
             *lead, n, e, q = Z.shape
-            if rows_per_block is not None:
-                monkeypatch.setattr(linmoment, "MEAN_BLOCK", rows_per_block * n * e * q)
-            b = rng.standard_normal((*lead, q))
+            b, A = rng.standard_normal((*lead, q)), rng.standard_normal((*lead, q, 2))
             assert w.shape == Z.shape, label
             assert _same_bits(w.Z, Z), label
-            assert _same_bits(w.mean(), _one_product_mean(Z, w.H)), label
-            assert _same_bits(w.times(b), _dense_times(Z, w.H, b)), label
+            got = w.mean()
+            assert np.all(np.abs(got - _one_product_mean(Z, w.H)) <= _mean_bound(Z, w.H)), label
+            got = w.bilinear(b, A)
+            assert got.shape == (*lead, n, 2), label
+            want = _dense_bilinear(Z, w.H, b, A)
+            assert np.all(np.abs(got - want) <= _bilinear_bound(Z, w.H, b, A)), label
+
+    def test_mapped_products_never_form_z(self, monkeypatch):
+        """The mean and b' W(X_i) A of mapped factors come from their values."""
+        cases = {label: case for label, case in _factor_cases().items()
+                 if label.startswith(("ar1", "predetermined"))}
+        monkeypatch.setattr(WeightFactors, "Z", property(lambda f: pytest.fail("Z formed")))
+        for label, (w, Z) in cases.items():
+            q = Z.shape[-1]
+            w.mean()
+            w.bilinear(np.ones((*Z.shape[:-3], q)), np.ones((*Z.shape[:-3], q, 1)))
 
     def test_dense_factors_are_their_own_values(self):
         """Identity-map factors are read without a copy."""

@@ -245,6 +245,16 @@ class TestRunStudy:
                 assert 0.0 <= block.reject_j <= 1.0
                 assert block.failures == 0
 
+    def test_replications_are_bounded_when_the_config_is_made(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "run_study", lambda *a, **k: pytest.fail("run"))
+        for reps in (0, montecarlo.MAX_REPLICATIONS + 1, 10**12):
+            with pytest.raises(ValueError, match=f"replications must be at least 1 and at "
+                                                 f"most {montecarlo.MAX_REPLICATIONS}, got {reps}"):
+                StudyConfig(design=IvLocal(n=50, alpha0=0.0), replications=reps)
+        cfg = StudyConfig(design=IvLocal(n=50, alpha0=0.0),
+                          replications=montecarlo.MAX_REPLICATIONS)
+        assert cfg.replications == 10**6
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             StudyConfig(design=IvLocal(n=50, alpha0=0.0), replications=0)
